@@ -858,6 +858,8 @@ int main(int argc, char** argv) {
        << ",\n";
   json << "    \"fwd_plan_thunks_after\": " << fwd_pass.thunks_after
        << ",\n";
+  json << "    \"fwd_plan_deduplicated\": " << fwd_pass.deduplicated
+       << ",\n";
   json << "    \"fwd_plan_arena_bytes_before\": "
        << fwd_pass.arena_bytes_before << ",\n";
   json << "    \"fwd_plan_arena_bytes_after\": "
@@ -866,6 +868,8 @@ int main(int argc, char** argv) {
        << ",\n";
   json << "    \"step_plan_thunks_after\": " << step_pass.thunks_after
        << ",\n";
+  json << "    \"step_plan_deduplicated\": " << step_pass.deduplicated
+       << ",\n";
   json << "    \"step_plan_arena_bytes_before\": "
        << step_pass.arena_bytes_before << ",\n";
   json << "    \"step_plan_arena_bytes_after\": "
@@ -873,6 +877,8 @@ int main(int argc, char** argv) {
   json << "    \"tdse_plan_thunks_before\": " << tdse_pass.thunks_before
        << ",\n";
   json << "    \"tdse_plan_thunks_after\": " << tdse_pass.thunks_after
+       << ",\n";
+  json << "    \"tdse_plan_deduplicated\": " << tdse_pass.deduplicated
        << ",\n";
   json << "    \"tdse_plan_arena_bytes_before\": "
        << tdse_pass.arena_bytes_before << ",\n";

@@ -19,11 +19,12 @@
 // point (a function pointer for the common unary/scalar/binary shapes), its
 // output tensor, and its input tensors. That metadata is what makes the plan
 // an analyzable IR — the optimizer passes in autodiff/plan_passes.hpp walk
-// the thunk array to eliminate dead thunks, fuse adjacent elementwise
-// sequences into the fused kernels, and re-bind non-overlapping buffer
-// lifetimes onto shared arena storage. Structural kernels that need extra
-// immediates (pad/slice/concat) record an opaque closure but still declare
-// their read/write sets so the analyses stay sound.
+// the thunk array to merge recomputations of the same value, eliminate dead
+// thunks, fuse adjacent elementwise sequences into the fused kernels, and
+// re-bind non-overlapping buffer lifetimes onto shared arena storage.
+// Structural kernels that need extra immediates (pad/slice/concat) record an
+// opaque closure but still declare their read/write sets so the analyses
+// stay sound.
 //
 // Bit-identity contract: replay calls the identical kernel entry points with
 // the identical operand buffers in the identical order as the eager step that
@@ -96,9 +97,10 @@ struct Thunk {
 struct PassStats {
   std::size_t thunks_before = 0;
   std::size_t thunks_after = 0;
-  std::size_t dead_eliminated = 0;  ///< pass 1: dead-thunk elimination
-  std::size_t fused = 0;            ///< pass 2: thunks removed by fusion
-  std::size_t buffers_rebound = 0;  ///< pass 3: buffers moved onto shared slots
+  std::size_t deduplicated = 0;     ///< pass 1: common-subexpression elim.
+  std::size_t dead_eliminated = 0;  ///< pass 2: dead-thunk elimination
+  std::size_t fused = 0;            ///< pass 3: thunks removed by fusion
+  std::size_t buffers_rebound = 0;  ///< pass 4: buffers moved onto shared slots
   std::size_t arena_buffers_before = 0;
   std::size_t arena_buffers_after = 0;
   std::size_t arena_bytes_before = 0;
@@ -225,7 +227,7 @@ struct PlanStats {
   std::uint64_t replays = 0;
   std::uint64_t fallbacks = 0;
   std::uint64_t plans_optimized = 0;
-  std::uint64_t thunks_eliminated = 0;  ///< dead + fused, all plans
+  std::uint64_t thunks_eliminated = 0;  ///< deduplicated + dead + fused
   std::uint64_t arena_bytes_saved = 0;
 };
 PlanStats plan_stats();

@@ -1,8 +1,12 @@
 #include "autodiff/plan_passes.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -12,6 +16,7 @@
 #include "tensor/kernels.hpp"
 #include "util/env.hpp"
 #include "util/error.hpp"
+#include "util/invariant.hpp"
 
 namespace qpinn::autodiff::plan {
 
@@ -36,7 +41,171 @@ bool is_binary(const Thunk& t, BinaryKernel f) {
   return t.kind == ThunkKind::kBinary && t.k2 == f;
 }
 
-// ---- pass 1: dead-thunk elimination ---------------------------------------
+/// Drops the thunks flagged in `drop`, preserving order.
+void drop_flagged(std::vector<Thunk>& ts, const std::vector<char>& drop) {
+  std::vector<Thunk> kept;
+  kept.reserve(ts.size());
+  for (std::size_t idx = 0; idx < ts.size(); ++idx) {
+    if (drop[idx] == 0) kept.push_back(std::move(ts[idx]));
+  }
+  ts = std::move(kept);
+}
+
+constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
+
+/// How a plan touches one buffer. Each read or write is one Tensor the
+/// thunk array holds; an accumulation (reads_out) counts as both.
+struct AccessCount {
+  std::size_t writes = 0;
+  std::size_t reads = 0;
+  std::size_t first_write = kNever;  ///< thunk index
+  std::size_t first_read = kNever;   ///< thunk index
+  bool opaque = false;               ///< touched by an opaque closure
+
+  /// Written exactly once and never read at or before that write.
+  bool single_assignment() const {
+    return writes == 1 && first_read > first_write;
+  }
+  /// Holds one value for the whole replay: an input the plan never
+  /// writes, or a single assignment.
+  bool stable() const { return writes == 0 || single_assignment(); }
+};
+
+std::unordered_map<BufKey, AccessCount> count_accesses(
+    const std::vector<Thunk>& ts) {
+  std::unordered_map<BufKey, AccessCount> acc;
+  acc.reserve(ts.size() * 2);
+  const auto read = [&](const Tensor& x, std::size_t i, bool opaque) {
+    AccessCount& a = acc[buf(x)];
+    a.reads += 1;
+    a.first_read = std::min(a.first_read, i);
+    a.opaque = a.opaque || opaque;
+  };
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    const Thunk& t = ts[i];
+    const bool opaque = t.kind == ThunkKind::kOpaque;
+    for (const Tensor& in : t.ins) read(in, i, opaque);
+    if (t.reads_out()) read(t.out, i, opaque);
+    AccessCount& a = acc[buf(t.out)];
+    a.writes += 1;
+    a.first_write = std::min(a.first_write, i);
+    a.opaque = a.opaque || opaque;
+  }
+  return acc;
+}
+
+// ---- pass 1: common-subexpression elimination ----------------------------
+//
+// Value numbering over the pure structured thunks. A buffer written at most
+// once in the plan, and never read before that write, holds exactly one
+// value per replay, so its identity IS its value number. Two pure thunks
+// with the same kernel, kind, scalar bit pattern (0.0 and -0.0 differ),
+// input buffers, input shapes and output shape therefore compute the same
+// bits: every kernel is deterministic for a fixed ISA and pool size. The
+// later one (the duplicate) is dropped and every later structured read of
+// its output is redirected onto the earlier (canonical) buffer. Redirects
+// are applied before a thunk is keyed, so chains collapse transitively:
+// once sin(p) merges, mul(g, sin(p)) keys equal to its earlier twin too.
+//
+// A duplicate is merged only when its output is written once and not read
+// before that write, is not a declared output, is not read by an opaque
+// closure (its captured tensors cannot be redirected), and has no storage
+// owner outside the plan (the host could observe the buffer going stale).
+
+bool is_pure(const Thunk& t) {
+  return t.kind == ThunkKind::kUnary || t.kind == ThunkKind::kUnaryScalar ||
+         t.kind == ThunkKind::kBinary;
+}
+
+void hash_mix(std::size_t& h, std::size_t v) {
+  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+}
+
+void hash_shape(std::size_t& h, const Tensor& x) {
+  for (const std::int64_t d : x.shape()) {
+    hash_mix(h, static_cast<std::size_t>(d));
+  }
+}
+
+/// Hash and equality of a pure thunk's value key. Entries point at thunks
+/// that stay in place (and unmodified) for the whole pass.
+struct ValueHash {
+  std::size_t operator()(const Thunk* t) const {
+    std::size_t h = static_cast<std::size_t>(t->kind);
+    hash_mix(h, std::hash<UnaryKernel>{}(t->k1));
+    hash_mix(h, std::hash<UnaryScalarKernel>{}(t->k1s));
+    hash_mix(h, std::hash<BinaryKernel>{}(t->k2));
+    hash_mix(h, std::bit_cast<std::uint64_t>(t->scalar));
+    for (const Tensor& in : t->ins) {
+      hash_mix(h, std::hash<BufKey>{}(buf(in)));
+      hash_shape(h, in);
+    }
+    hash_shape(h, t->out);
+    return h;
+  }
+};
+
+struct ValueEq {
+  bool operator()(const Thunk* a, const Thunk* b) const {
+    if (a->kind != b->kind || a->k1 != b->k1 || a->k1s != b->k1s ||
+        a->k2 != b->k2 ||
+        std::bit_cast<std::uint64_t>(a->scalar) !=
+            std::bit_cast<std::uint64_t>(b->scalar) ||
+        !a->out.same_shape(b->out) || a->ins.size() != b->ins.size()) {
+      return false;
+    }
+    for (std::size_t i = 0; i < a->ins.size(); ++i) {
+      if (buf(a->ins[i]) != buf(b->ins[i]) ||
+          !a->ins[i].same_shape(b->ins[i])) {
+        return false;
+      }
+    }
+    return true;
+  }
+};
+
+std::size_t eliminate_common_subexpressions(
+    std::vector<Thunk>& ts, const std::unordered_set<BufKey>& outputs) {
+  const auto acc = count_accesses(ts);
+  const auto access = [&](const Tensor& x) -> const AccessCount& {
+    return acc.at(buf(x));
+  };
+  std::unordered_set<const Thunk*, ValueHash, ValueEq> values;
+  values.reserve(ts.size());
+  std::unordered_map<BufKey, Tensor> canonical;  // duplicate -> canonical
+  std::vector<char> erased(ts.size(), 0);
+  std::size_t removed = 0;
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    Thunk& t = ts[i];
+    if (t.kind != ThunkKind::kOpaque && !canonical.empty()) {
+      for (Tensor& in : t.ins) {
+        const auto it = canonical.find(buf(in));
+        if (it != canonical.end()) in = it->second.reshape(in.shape());
+      }
+    }
+    if (!is_pure(t) || !access(t.out).single_assignment()) continue;
+    if (!std::all_of(t.ins.begin(), t.ins.end(),
+                     [&](const Tensor& in) { return access(in).stable(); })) {
+      continue;
+    }
+    const auto [it, inserted] = values.insert(&t);
+    if (inserted) continue;
+    // A pure single write means `opaque` can only come from a read, and
+    // every plan reference to the buffer is one of its reads or its write.
+    const AccessCount& dup = access(t.out);
+    if (outputs.count(buf(t.out)) != 0 || dup.opaque ||
+        t.out.storage_use_count() != static_cast<long>(dup.reads + 1)) {
+      continue;
+    }
+    canonical.emplace(buf(t.out), (*it)->out);
+    erased[i] = 1;
+    removed += 1;
+  }
+  if (removed != 0) drop_flagged(ts, erased);
+  return removed;
+}
+
+// ---- pass 2: dead-thunk elimination ---------------------------------------
 //
 // One backward scan computes transitive liveness exactly: a thunk is kept
 // only if its output is live below it (read by a kept thunk or a declared
@@ -48,30 +217,22 @@ bool is_binary(const Thunk& t, BinaryKernel f) {
 std::size_t eliminate_dead_thunks(std::vector<Thunk>& ts,
                                   const std::unordered_set<BufKey>& outputs) {
   std::unordered_set<BufKey> live = outputs;
-  std::vector<char> keep(ts.size(), 0);
+  std::vector<char> dead(ts.size(), 1);
+  std::size_t removed = ts.size();
   for (std::size_t idx = ts.size(); idx-- > 0;) {
     const Thunk& t = ts[idx];
     const BufKey out = buf(t.out);
     if (live.count(out) == 0) continue;
-    keep[idx] = 1;
+    dead[idx] = 0;
+    removed -= 1;
     if (!t.reads_out()) live.erase(out);
     for (const Tensor& in : t.ins) live.insert(buf(in));
   }
-  std::vector<Thunk> kept;
-  kept.reserve(ts.size());
-  std::size_t removed = 0;
-  for (std::size_t idx = 0; idx < ts.size(); ++idx) {
-    if (keep[idx] != 0) {
-      kept.push_back(std::move(ts[idx]));
-    } else {
-      ++removed;
-    }
-  }
-  ts = std::move(kept);
+  drop_flagged(ts, dead);
   return removed;
 }
 
-// ---- pass 2: elementwise fusion -------------------------------------------
+// ---- pass 3: elementwise fusion -------------------------------------------
 //
 // Pattern-matches adjacent thunk runs whose intermediates are ephemeral —
 // written once, read once (both inside the pattern), not a declared output,
@@ -81,30 +242,6 @@ std::size_t eliminate_dead_thunks(std::vector<Thunk>& ts,
 // (square_sum/weighted_square_sum) accumulate in a different order than
 // their compositions and are deliberately NOT substituted (see the
 // bit-identity discussion in DESIGN.md).
-
-struct AccessCount {
-  std::size_t writes = 0;
-  std::size_t reads = 0;
-  bool opaque = false;
-};
-
-std::unordered_map<BufKey, AccessCount> count_accesses(
-    const std::vector<Thunk>& ts) {
-  std::unordered_map<BufKey, AccessCount> acc;
-  for (const Thunk& t : ts) {
-    const bool opaque = t.kind == ThunkKind::kOpaque;
-    for (const Tensor& in : t.ins) {
-      AccessCount& a = acc[buf(in)];
-      a.reads += 1;
-      a.opaque = a.opaque || opaque;
-    }
-    AccessCount& a = acc[buf(t.out)];
-    a.writes += 1;
-    if (t.reads_out()) a.reads += 1;
-    a.opaque = a.opaque || opaque;
-  }
-  return acc;
-}
 
 /// True when `x` is a bias row vector against rank-2 `a` (the shape class
 /// bias_tanh_into/bias_sin_into accept).
@@ -216,17 +353,12 @@ std::size_t fuse_elementwise(std::vector<Thunk>& ts,
 
     if (fused_round == 0) break;
     fused_total += fused_round;
-    std::vector<Thunk> kept;
-    kept.reserve(ts.size());
-    for (std::size_t idx = 0; idx < ts.size(); ++idx) {
-      if (erased[idx] == 0) kept.push_back(std::move(ts[idx]));
-    }
-    ts = std::move(kept);
+    drop_flagged(ts, erased);
   }
   return fused_total;
 }
 
-// ---- pass 3: liveness-based arena reuse -----------------------------------
+// ---- pass 4: liveness-based arena reuse -----------------------------------
 //
 // Computes each buffer's live interval [first write, last access] over the
 // thunk sequence and greedily colors the interval graph per buffer-size
@@ -337,6 +469,29 @@ std::size_t reuse_arena(std::vector<Thunk>& ts,
   return rebound;
 }
 
+// ---- structural check ------------------------------------------------------
+
+void check_no_stale_reads(const std::vector<Thunk>& ts,
+                          const std::string& after_pass) {
+  std::unordered_set<BufKey> written;
+  std::unordered_set<BufKey> read_first;
+  const auto read = [&](const Tensor& x) {
+    if (written.count(buf(x)) == 0) read_first.insert(buf(x));
+  };
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    const Thunk& t = ts[i];
+    for (const Tensor& in : t.ins) read(in);
+    if (t.reads_out()) read(t.out);
+    if (read_first.count(buf(t.out)) != 0) {
+      throw InvariantError(
+          "autodiff.plan_passes", "stale-read",
+          "after pass '" + after_pass + "': thunk " + std::to_string(i) +
+              " writes a buffer the plan reads before its first write");
+    }
+    written.insert(buf(t.out));
+  }
+}
+
 }  // namespace
 
 bool plan_opt_env_enabled() {
@@ -365,10 +520,18 @@ PassStats optimize_plan(ExecutionPlan& plan,
   outs.reserve(outputs.size());
   for (const Tensor& o : outputs) outs.insert(o.data());
 
+  const auto checked = [](const std::vector<Thunk>& ts, const char* pass) {
+    if constexpr (checked_build()) check_no_stale_reads(ts, pass);
+  };
   std::vector<Thunk> ts = plan.take_thunks();
+  s.deduplicated = eliminate_common_subexpressions(ts, outs);
+  checked(ts, "cse");
   s.dead_eliminated = eliminate_dead_thunks(ts, outs);
+  checked(ts, "dead-thunk");
   s.fused = fuse_elementwise(ts, outs);
+  checked(ts, "fusion");
   s.buffers_rebound = reuse_arena(ts, outs);
+  checked(ts, "arena-reuse");
   plan.set_thunks(std::move(ts));
 
   s.thunks_after = plan.size();
@@ -377,6 +540,10 @@ PassStats optimize_plan(ExecutionPlan& plan,
   plan.set_pass_stats(s);
   count_optimized(s);
   return s;
+}
+
+void verify_plan(const ExecutionPlan& plan, const std::string& after_pass) {
+  check_no_stale_reads(plan.thunks(), after_pass);
 }
 
 }  // namespace qpinn::autodiff::plan

@@ -5,12 +5,21 @@
 // forward-only serving plans alike) and rewrites that IR without changing
 // any replayed value:
 //
-//   1. Dead-thunk elimination — a thunk whose output buffer is never read
+//   1. Common-subexpression elimination — value numbering over the pure
+//      structured thunks (unary, unary-scalar, binary). Higher-order
+//      autodiff rebuilds the same values again and again: every
+//      differentiation order re-derives cos(p)/sin(p) of one RFF projection
+//      (the backward of sin is mul(g, cos(parent)) and vice versa), and
+//      every matmul backward re-transposes the same activations. A thunk
+//      whose kernel, scalar bit pattern, input buffers and shapes match an
+//      earlier one is dropped and later reads of its output are redirected
+//      onto the earlier buffer, so whole recomputed chains collapse.
+//   2. Dead-thunk elimination — a thunk whose output buffer is never read
 //      by a later thunk and is not a bound plan output computes a value
 //      nobody observes (e.g. forward values of zero-weight auxiliary loss
 //      terms); drop it. Iterated to a fixpoint, since dropping a consumer
 //      can kill its producers.
-//   2. Elementwise fusion — adjacent pair/triple/quad sequences whose
+//   3. Elementwise fusion — adjacent pair/triple/quad sequences whose
 //      intermediates die immediately are pattern-matched into the fused
 //      `_into` kernels (tensor/kernels.hpp): add+tanh -> bias_tanh,
 //      add+sin -> bias_sin, square+sum -> square_sum, the tanh-backward
@@ -19,7 +28,7 @@
 //      Every rewrite reuses a kernel whose bit-identity against the
 //      composition it replaces is already part of the SIMD layer's
 //      contract, so replay output is unchanged to the last bit.
-//   3. Liveness-based arena reuse — buffer live intervals over the thunk
+//   4. Liveness-based arena reuse — buffer live intervals over the thunk
 //      sequence are colored greedily (interval partitioning per buffer
 //      size class) so non-overlapping lifetimes share one pinned arena
 //      slot, shrinking arena_bytes(). Only buffers proven plan-private are
@@ -28,16 +37,24 @@
 //      and with no storage owners outside the plan (storage_use_count()
 //      equals the plan-internal reference count).
 //
-// Ordering matters: fusion runs before liveness because fusing shortens
-// live ranges (intermediates disappear), which is exactly what makes
-// interval coloring effective; liveness runs last because re-binding
-// invalidates the buffer-identity facts the earlier passes key on.
+// Ordering matters. CSE runs first because it keys on buffer identity: a
+// buffer written exactly once holds exactly one value per replay, so equal
+// keys mean equal bits. Arena reuse makes buffers multi-write, which would
+// hide every merge. Running CSE before dead-thunk elimination also lets
+// the producers of merged-away chains die there. Fusion runs before liveness
+// because fusing shortens live ranges (intermediates disappear), which is
+// exactly what makes interval coloring effective; liveness runs last because
+// re-binding invalidates the buffer-identity facts the earlier passes key on.
+//
+// After every pass, checked builds (QPINN_CHECKED) run verify_plan's
+// structural check over the rewritten thunk array.
 //
 // The pipeline is gated by QPINN_PLAN_OPT (same grammar as QPINN_GRAPH);
 // with the knob off, plan owners skip optimize_plan() and replay the
 // verbatim capture.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "autodiff/plan.hpp"
@@ -61,5 +78,14 @@ bool plan_opt_env_enabled();
 /// function itself always runs.
 PassStats optimize_plan(ExecutionPlan& plan,
                         const std::vector<Tensor>& outputs);
+
+/// Structural check of a plan (a first slice of a full plan verifier): a
+/// buffer the plan reads before its first write is an input refreshed
+/// between replays, so no later thunk may write it — a read from the
+/// previous replay would silently go stale. This is the hazard a wrong
+/// redirect or re-binding would create. Throws InvariantError (site
+/// "autodiff.plan_passes", category "stale-read") naming `after_pass` and
+/// the offending thunk index.
+void verify_plan(const ExecutionPlan& plan, const std::string& after_pass);
 
 }  // namespace qpinn::autodiff::plan

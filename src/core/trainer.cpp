@@ -361,9 +361,9 @@ void Trainer::optimize_shard_plan(ShardPlan& sp) {
     const plan::PassStats stats = plan::optimize_plan(sp.plan, outputs);
     log::debug() << problem_->name() << " plan optimized: "
                  << stats.thunks_before << " -> " << stats.thunks_after
-                 << " thunks (" << stats.dead_eliminated << " dead, "
-                 << stats.fused << " fused), arena "
-                 << stats.arena_bytes_before << " -> "
+                 << " thunks (" << stats.deduplicated << " deduplicated, "
+                 << stats.dead_eliminated << " dead, " << stats.fused
+                 << " fused), arena " << stats.arena_bytes_before << " -> "
                  << stats.arena_bytes_after << " bytes ("
                  << stats.buffers_rebound << " buffers re-bound)";
   }
@@ -612,8 +612,7 @@ EpochRecord Trainer::step(std::int64_t epoch) {
     if (graph_enabled_ && points_.interior.shape() == fresh.shape()) {
       kernels::copy_into(points_.interior, fresh);
     } else {
-      points_.interior = std::move(fresh);
-      ++interior_generation_;
+      replace_interior(std::move(fresh));
     }
   }
 
@@ -682,8 +681,7 @@ void Trainer::restore_snapshot(const Snapshot& snapshot) {
   }
   optimizer_->import_state(snapshot.optimizer);
   resample_rng_.set_state(snapshot.rng);
-  points_.interior = snapshot.interior.clone();
-  ++interior_generation_;
+  replace_interior(snapshot.interior.clone());
 }
 
 TrainingState Trainer::make_state(std::int64_t epoch) const {
@@ -710,8 +708,7 @@ void Trainer::restore_state(const TrainingState& state) {
     QPINN_CHECK_SHAPE(state.interior.rank() == 2 &&
                           state.interior.cols() == points_.interior.cols(),
                       "resumed collocation set has the wrong shape");
-    points_.interior = state.interior.clone();
-    ++interior_generation_;
+    replace_interior(state.interior.clone());
   }
 }
 
@@ -858,7 +855,7 @@ TrainResult Trainer::fit() {
       // recovery state machine, and retry the epoch.
       if (dist_may_resample) {
         resample_rng_.set_state(dist_pre_rng);
-        points_.interior = dist_pre_interior.clone();
+        replace_interior(dist_pre_interior.clone());
       }
       ++result.rank_failures;
       if (result.rank_failures > 8) throw;  // runaway failure loop

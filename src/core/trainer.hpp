@@ -212,7 +212,10 @@ class Trainer {
 
   /// Replaces the interior collocation set (e.g. to change the batch size
   /// between fit() calls). Any captured execution plan is invalidated on
-  /// the next step, exactly like a resample.
+  /// the next step, exactly like a resample. Every rebinding of the
+  /// interior tensor goes through here (resample with a new shape,
+  /// snapshot/checkpoint restore, dist peer-loss rollback) so the plan
+  /// key's generation always moves with it.
   void replace_interior(Tensor interior) {
     points_.interior = std::move(interior);
     ++interior_generation_;
@@ -271,11 +274,11 @@ class Trainer {
   /// diverge from eager, so the plan must be re-captured.
   struct PlanKey {
     const void* interior_data = nullptr;
-    /// Monotonic count of interior-tensor *identity* changes (resample,
-    /// replace_interior, snapshot/checkpoint restore). The data pointer
-    /// alone is unsafe: the StoragePool can hand a freed buffer back at the
-    /// same address for a different point set (ABA), which would silently
-    /// replay a stale plan.
+    /// Monotonic count of interior-tensor *identity* changes (every call
+    /// of replace_interior). The data pointer alone is unsafe: the
+    /// StoragePool can hand a freed buffer back at the same address for a
+    /// different point set (ABA), which would silently replay a stale
+    /// plan.
     std::uint64_t interior_generation = 0;
     Shape interior_shape;
     std::size_t pool_threads = 0;
@@ -337,9 +340,10 @@ class Trainer {
   /// (autodiff/plan_passes.hpp) over every finalized capture.
   bool plan_opt_enabled_ = false;
   bool plans_ready_ = false;
-  /// Bumped whenever points_.interior is rebound to a different tensor
-  /// (see PlanKey::interior_generation). The in-place refresh path
-  /// (copy_into) deliberately does NOT bump — same buffer, plan stays hot.
+  /// Bumped by replace_interior, the only place points_.interior is
+  /// rebound to a different tensor (see PlanKey::interior_generation). The
+  /// in-place refresh path (copy_into) deliberately does NOT bump — same
+  /// buffer, plan stays hot.
   std::uint64_t interior_generation_ = 0;
   PlanKey plan_key_;
   std::vector<ShardPlan> plans_;

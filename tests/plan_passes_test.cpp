@@ -1,16 +1,20 @@
 // Tests for the plan-optimizer pass pipeline (autodiff/plan_passes.hpp).
 //
 // The contract under test: optimize_plan rewrites a captured thunk array —
-// dead-thunk elimination, elementwise fusion onto the bit-identical fused
-// kernels, liveness-based arena reuse — without changing ANY replayed value.
+// common-subexpression elimination, dead-thunk elimination, elementwise
+// fusion onto the bit-identical fused kernels, liveness-based arena reuse —
+// without changing ANY replayed value.
 // Replay with the passes on stays bit-identical to eager under every SIMD
 // variant (serial, parallel shards, curriculum, per-epoch resampling), the
 // TDSE training plan provably shrinks in both thunk count and arena bytes,
 // and QPINN_PLAN_OPT=off restores the verbatim capture.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,6 +31,7 @@
 #include "tensor/kernels.hpp"
 #include "tensor/simd.hpp"
 #include "util/error.hpp"
+#include "util/invariant.hpp"
 
 namespace qpinn::core {
 namespace {
@@ -96,6 +101,30 @@ class Fp64Guard {
  private:
   ad::Precision saved_;
 };
+
+/// Number of thunks in `p` running unary kernel `f` on an input with
+/// `cols` columns.
+std::size_t count_unary(const plan::ExecutionPlan& p, plan::UnaryKernel f,
+                        std::int64_t cols) {
+  std::size_t n = 0;
+  for (const plan::Thunk& t : p.thunks()) {
+    if (t.kind == plan::ThunkKind::kUnary && t.k1 == f &&
+        t.ins[0].rank() == 2 && t.ins[0].cols() == cols) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+/// Bitwise equality (distinguishes 0.0 from -0.0, unlike ==).
+void expect_same_bits(const Tensor& want, const Tensor& got) {
+  ASSERT_TRUE(want.same_shape(got));
+  for (std::int64_t i = 0; i < want.numel(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(want[i]),
+              std::bit_cast<std::uint64_t>(got[i]))
+        << "element " << i;
+  }
+}
 
 /// Restores the active SIMD variant on scope exit.
 class IsaGuard {
@@ -292,6 +321,216 @@ TEST(PlanPassesUnit, ExternallyObservedBufferIsNeverRebound) {
   (void)stats;
 }
 
+// --- unit: common-subexpression elimination --------------------------------
+
+// Duplicate unary, unary-scalar and binary thunks merge onto the first
+// computation, and the readers of each duplicate are redirected onto the
+// surviving buffer — with replayed values unchanged.
+TEST(PlanPassesUnit, DuplicateThunksMergeAndReadersRedirect) {
+  Rng rng(17);
+  Tensor x = Tensor::randn({8, 4}, rng);
+  Tensor y = Tensor::randn({8, 4}, rng);
+  std::vector<Tensor> outs;
+  plan::ExecutionPlan p;
+  {
+    plan::CaptureScope scope(p);
+    ad::NoGradGuard no_grad;
+    const ad::Variable xv = ad::Variable::constant(x);
+    const ad::Variable yv = ad::Variable::constant(y);
+    outs.push_back(ad::add(ad::exp(xv), ad::exp(xv)).value());
+    outs.push_back(ad::mul(ad::scale(xv, 3.0), ad::scale(xv, 3.0)).value());
+    outs.push_back(ad::sub(ad::mul(xv, yv), ad::mul(xv, yv)).value());
+  }
+  ASSERT_EQ(p.size(), 9u);
+  const plan::PassStats stats = plan::optimize_plan(p, outs);
+  EXPECT_EQ(stats.deduplicated, 3u);
+  EXPECT_EQ(stats.thunks_after, 6u);
+  EXPECT_NO_THROW(plan::verify_plan(p, "test"));
+  std::size_t redirected = 0;
+  for (const plan::Thunk& t : p.thunks()) {
+    for (const Tensor& o : outs) {
+      if (t.out.data() != o.data()) continue;
+      EXPECT_EQ(t.ins[0].data(), t.ins[1].data());
+      ++redirected;
+    }
+  }
+  EXPECT_EQ(redirected, 3u);
+
+  kernels::copy_into(x, Tensor::randn({8, 4}, rng));
+  kernels::copy_into(y, Tensor::randn({8, 4}, rng));
+  p.replay();
+  const Tensor e = kernels::exp(x);
+  const Tensor s = kernels::scale(x, 3.0);
+  const Tensor m = kernels::mul(x, y);
+  expect_same_bits(kernels::add(e, e), outs[0]);
+  expect_same_bits(kernels::mul(s, s), outs[1]);
+  expect_same_bits(kernels::sub(m, m), outs[2]);
+}
+
+// The higher-order-autodiff pattern: sin(p)/cos(p) of one projection and
+// their product, recomputed twice. Redirects apply before keying, so the
+// downstream mul merges too and one sin and one cos remain.
+TEST(PlanPassesUnit, SinCosPairRecomputedTwiceCollapsesTransitively) {
+  Rng rng(19);
+  Tensor x = Tensor::randn({16, 6}, rng);
+  Tensor w = Tensor::randn({16, 6}, rng);
+  Tensor out;
+  plan::ExecutionPlan p;
+  {
+    plan::CaptureScope scope(p);
+    ad::NoGradGuard no_grad;
+    const ad::Variable proj =
+        ad::mul(ad::Variable::constant(x), ad::Variable::constant(w));
+    const ad::Variable first = ad::mul(ad::sin(proj), ad::cos(proj));
+    const ad::Variable second = ad::mul(ad::sin(proj), ad::cos(proj));
+    out = ad::add(first, second).value();
+  }
+  ASSERT_EQ(p.size(), 8u);
+  ASSERT_EQ(count_unary(p, &kernels::sin_into, 6), 2u);
+  const plan::PassStats stats = plan::optimize_plan(p, {out});
+  EXPECT_EQ(stats.deduplicated, 3u);
+  EXPECT_EQ(p.size(), 5u);
+  EXPECT_EQ(count_unary(p, &kernels::sin_into, 6), 1u);
+  EXPECT_EQ(count_unary(p, &kernels::cos_into, 6), 1u);
+  EXPECT_NO_THROW(plan::verify_plan(p, "test"));
+
+  kernels::copy_into(x, Tensor::randn({16, 6}, rng));
+  p.replay();
+  const Tensor proj = kernels::mul(x, w);
+  const Tensor m = kernels::mul(kernels::sin(proj), kernels::cos(proj));
+  expect_same_bits(kernels::add(m, m), out);
+}
+
+// Builds the same hand-made plan twice and optimizes one copy: CSE must
+// merge nothing, and every returned tensor must replay bit-identically to
+// the verbatim copy. The first `declared` tensors are the plan outputs; the
+// rest are held by the host without being declared.
+void expect_no_merge(
+    const std::function<std::vector<Tensor>(plan::ExecutionPlan&)>& build,
+    std::size_t declared) {
+  plan::ExecutionPlan verbatim, optimized;
+  const std::vector<Tensor> want = build(verbatim);
+  const std::vector<Tensor> got = build(optimized);
+  const std::vector<Tensor> outputs(
+      got.begin(), got.begin() + static_cast<std::ptrdiff_t>(declared));
+  const plan::PassStats stats = plan::optimize_plan(optimized, outputs);
+  EXPECT_EQ(stats.deduplicated, 0u);
+  EXPECT_NO_THROW(plan::verify_plan(optimized, "test"));
+  verbatim.replay();
+  optimized.replay();
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE("tensor " + std::to_string(i));
+    expect_same_bits(want[i], got[i]);
+  }
+}
+
+TEST(PlanPassesUnit, CseRefusesUnsafeMerges) {
+  Rng rng(23);
+  const Tensor x = Tensor::randn({8, 4}, rng);
+  const Tensor y = Tensor::randn({8, 4}, rng);
+  const ad::Variable xv = ad::Variable::constant(x);
+  const auto zeros = [] { return Tensor::zeros({8, 4}); };
+
+  {
+    SCOPED_TRACE("scalars 0.0 and -0.0 differ in bits");
+    expect_no_merge(
+        [&](plan::ExecutionPlan& p) {
+          plan::CaptureScope scope(p);
+          ad::NoGradGuard no_grad;
+          const ad::Variable pos = ad::scale(xv, 0.0);
+          const ad::Variable neg = ad::scale(xv, -0.0);
+          return std::vector<Tensor>{ad::div(ad::exp(pos), neg).value()};
+        },
+        1);
+  }
+  {
+    SCOPED_TRACE("input written twice (an axpy accumulator)");
+    expect_no_merge(
+        [&](plan::ExecutionPlan& p) {
+          plan::CaptureScope scope(p);
+          Tensor acc = zeros(), before = zeros(), after = zeros();
+          Tensor out = zeros();
+          plan::record_copy_axpy(acc, x, 1.0, y);
+          plan::record_unary(before, &kernels::exp_into, acc);
+          plan::record_axpy_acc(acc, 1.0, y);
+          plan::record_unary(after, &kernels::exp_into, acc);
+          plan::record_binary(out, &kernels::sub_into, before, after);
+          return std::vector<Tensor>{out};
+        },
+        1);
+  }
+  {
+    SCOPED_TRACE("duplicate is a declared output");
+    expect_no_merge(
+        [&](plan::ExecutionPlan& p) {
+          plan::CaptureScope scope(p);
+          ad::NoGradGuard no_grad;
+          return std::vector<Tensor>{ad::exp(xv).value(),
+                                     ad::exp(xv).value()};
+        },
+        2);
+  }
+  {
+    SCOPED_TRACE("duplicate read by an opaque thunk");
+    expect_no_merge(
+        [&](plan::ExecutionPlan& p) {
+          plan::CaptureScope scope(p);
+          Tensor first = zeros(), dup = zeros(), out = zeros();
+          plan::record_unary(first, &kernels::exp_into, x);
+          plan::record_unary(dup, &kernels::exp_into, x);
+          plan::record_opaque(out, {dup}, [out, dup]() mutable {
+            kernels::copy_into(out, dup);
+          });
+          return std::vector<Tensor>{first, out};
+        },
+        2);
+  }
+  {
+    SCOPED_TRACE("duplicate held by the host, undeclared");
+    expect_no_merge(
+        [&](plan::ExecutionPlan& p) {
+          plan::CaptureScope scope(p);
+          ad::NoGradGuard no_grad;
+          const ad::Variable first = ad::exp(xv);
+          const ad::Variable held = ad::exp(xv);
+          return std::vector<Tensor>{ad::add(first, held).value(),
+                                     held.value()};
+        },
+        1);
+  }
+}
+
+// --- unit: structural check -------------------------------------------------
+
+// A plan that reads a buffer before its first write and writes it later
+// would replay a stale value — the hazard a wrong CSE redirect creates. The
+// check names the pass and the offending thunk.
+TEST(PlanPassesUnit, VerifierRejectsWriteAfterEarlyRead) {
+  Rng rng(29);
+  const Tensor x = Tensor::randn({8, 4}, rng);
+  plan::ExecutionPlan p;
+  {
+    plan::CaptureScope scope(p);
+    Tensor early = Tensor::zeros({8, 4});
+    Tensor out = Tensor::zeros({8, 4});
+    Tensor other = Tensor::zeros({8, 4});
+    plan::record_unary(other, &kernels::tanh_into, x);
+    plan::record_unary(out, &kernels::exp_into, early);  // read, unwritten
+    plan::record_unary(early, &kernels::sin_into, x);    // thunk 2 writes it
+  }
+  try {
+    plan::verify_plan(p, "hand-corrupted");
+    ADD_FAILURE() << "verify_plan accepted a stale read";
+  } catch (const InvariantError& e) {
+    EXPECT_EQ(e.site(), "autodiff.plan_passes");
+    EXPECT_EQ(e.category(), "stale-read");
+    const std::string what = e.what();
+    EXPECT_NE(what.find("hand-corrupted"), std::string::npos) << what;
+    EXPECT_NE(what.find("thunk 2"), std::string::npos) << what;
+  }
+}
+
 // --- trainer: bit-identity with passes on -----------------------------------
 
 TEST(PlanPassesTrainer, TdsePlanShrinksAndStaysBitIdenticalEveryIsa) {
@@ -315,6 +554,38 @@ TEST(PlanPassesTrainer, TdsePlanShrinksAndStaysBitIdenticalEveryIsa) {
     EXPECT_GT(stats.thunks_eliminated, 0u);
     EXPECT_GT(stats.arena_bytes_saved, 0u);
     EXPECT_EQ(stats.fallbacks, 0u);
+
+    // CSE merged recomputed values in the trainer's plan...
+    TrainConfig config = base;
+    config.graph = GraphMode::kOn;
+    auto model = tiny_model(*problem, 3);
+    Trainer trainer(problem, model, config);
+    trainer.step(0);
+    const auto pass = trainer.plan_pass_stats();
+    ASSERT_EQ(pass.size(), 1u);
+    EXPECT_GT(pass[0].deduplicated, 0u);
+
+    // ...and of every differentiation order's sin/cos of the RFF
+    // projection (6 features here), exactly one of each survives in the
+    // same residual step captured through the public API.
+    plan::ExecutionPlan step_plan;
+    std::vector<Tensor> outputs;
+    {
+      plan::CaptureScope scope(step_plan);
+      const ad::Variable points =
+          ad::Variable::leaf(trainer.collocation().interior, true);
+      const ad::Variable loss =
+          ad::square_sum(problem->residual(*model, points));
+      outputs.push_back(loss.value());
+      for (const ad::Variable& g : ad::grad(loss, model->parameters())) {
+        outputs.push_back(g.value());
+      }
+    }
+    ASSERT_GT(count_unary(step_plan, &kernels::sin_into, 6), 1u);
+    plan::optimize_plan(step_plan, outputs);
+    EXPECT_NO_THROW(plan::verify_plan(step_plan, "test"));
+    EXPECT_EQ(count_unary(step_plan, &kernels::sin_into, 6), 1u);
+    EXPECT_EQ(count_unary(step_plan, &kernels::cos_into, 6), 1u);
   }
 }
 

@@ -134,6 +134,18 @@ def main() -> int:
                             f"{field} {base_v} -> {cur_v} "
                             f"(exact metric; optimizer lost ground)")
 
+        # CSE gate: the TDSE training plan recomputes the RFF sin/cos and
+        # the matmul-backward transposes at every differentiation order,
+        # so common-subexpression elimination must merge some thunks there.
+        # Exact metric, like the counts above.
+        dedup = cur_sum.get("tdse_plan_deduplicated")
+        if dedup is not None:
+            print(f"bench_compare: tdse_plan_deduplicated {dedup}")
+            if dedup <= 0:
+                regressions.append(
+                    "tdse_plan: common-subexpression elimination merged no "
+                    "thunks")
+
     # Mixed-precision gate: the demoted training-step replay must beat the
     # fp64 replay by >= 1.3x. Both sides are timed back-to-back in the same
     # bench_report run (same machine, same load), so unlike the raw ns/op
