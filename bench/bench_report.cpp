@@ -188,9 +188,16 @@ int main(int argc, char** argv) {
     results.push_back(time_op("tensor", "matmul_tn", "256x256x256", r_big,
                               [&] { k::matmul_tn(a, b); },
                               2.0 * 256.0 * n_elem));
-    results.push_back(time_op("tensor", "matmul_nt", "256x256x256", r_big,
-                              [&] { k::matmul_nt(a, b); },
-                              2.0 * 256.0 * n_elem));
+    // Training-step shapes (900 collocation rows, 64-wide layers): the
+    // forward layer product and the folded weight gradient h^T g.
+    const Tensor h900 = Tensor::rand({900, 64}, rng, -1.0, 1.0);
+    const Tensor g900 = Tensor::rand({900, 64}, rng, -1.0, 1.0);
+    const double step_flops = 2.0 * 900.0 * 64.0 * 64.0;
+    results.push_back(time_op("tensor", "matmul", "900x64x64", r_mid,
+                              [&] { k::matmul(h900, b64); }, step_flops));
+    results.push_back(time_op("tensor", "matmul_tn", "900x64x64", r_mid,
+                              [&] { k::matmul_tn(h900, g900); },
+                              step_flops));
     results.push_back(time_op("tensor", "dot", "65536", r_small,
                               [&] { k::dot(v1, v2); }, 2.0 * n_vec));
     results.push_back(time_op("tensor", "axpy_inplace", "65536", r_small,
@@ -870,6 +877,7 @@ int main(int argc, char** argv) {
        << ",\n";
   json << "    \"step_plan_deduplicated\": " << step_pass.deduplicated
        << ",\n";
+  json << "    \"step_plan_folded\": " << step_pass.folded << ",\n";
   json << "    \"step_plan_arena_bytes_before\": "
        << step_pass.arena_bytes_before << ",\n";
   json << "    \"step_plan_arena_bytes_after\": "
@@ -880,6 +888,7 @@ int main(int argc, char** argv) {
        << ",\n";
   json << "    \"tdse_plan_deduplicated\": " << tdse_pass.deduplicated
        << ",\n";
+  json << "    \"tdse_plan_folded\": " << tdse_pass.folded << ",\n";
   json << "    \"tdse_plan_arena_bytes_before\": "
        << tdse_pass.arena_bytes_before << ",\n";
   json << "    \"tdse_plan_arena_bytes_after\": "

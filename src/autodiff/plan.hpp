@@ -98,9 +98,10 @@ struct PassStats {
   std::size_t thunks_before = 0;
   std::size_t thunks_after = 0;
   std::size_t deduplicated = 0;     ///< pass 1: common-subexpression elim.
-  std::size_t dead_eliminated = 0;  ///< pass 2: dead-thunk elimination
-  std::size_t fused = 0;            ///< pass 3: thunks removed by fusion
-  std::size_t buffers_rebound = 0;  ///< pass 4: buffers moved onto shared slots
+  std::size_t folded = 0;           ///< pass 2: transpose->matmul_tn folds
+  std::size_t dead_eliminated = 0;  ///< pass 3: dead-thunk elimination
+  std::size_t fused = 0;            ///< pass 4: thunks removed by fusion
+  std::size_t buffers_rebound = 0;  ///< pass 5: buffers moved onto shared slots
   std::size_t arena_buffers_before = 0;
   std::size_t arena_buffers_after = 0;
   std::size_t arena_bytes_before = 0;

@@ -205,7 +205,45 @@ std::size_t eliminate_common_subexpressions(
   return removed;
 }
 
-// ---- pass 2: dead-thunk elimination ---------------------------------------
+// ---- pass 2: transpose->matmul fold ----------------------------------------
+//
+// Matmul backward computes grad_b = matmul(transpose(a), g), and every
+// differentiation order repeats it. matmul_into(out, T, g) becomes
+// matmul_tn_into(out, a, g) when T is written only by transpose_into(T, a)
+// (single assignment) and `a` holds one value for the whole replay
+// (stable()), so `a` at the matmul is the value the transpose read.
+// matmul_tn runs the same per-element accumulation rule over the same row
+// chunking as matmul (tensor/simd.hpp), so the bits are unchanged. A
+// transpose left without readers dies in dead-thunk elimination; one that
+// is a declared output or has other readers stays. Only the left operand
+// folds: there is no a*b^T kernel with matmul's per-element chains.
+
+std::size_t fold_transposed_matmuls(std::vector<Thunk>& ts) {
+  const auto acc = count_accesses(ts);
+  std::unordered_map<BufKey, std::size_t> transposes;  // T -> thunk index
+  std::size_t folded = 0;
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    Thunk& t = ts[i];
+    if (is_unary(t, &k::transpose_into)) {
+      if (acc.at(buf(t.out)).single_assignment() &&
+          acc.at(buf(t.ins[0])).stable()) {
+        transposes.emplace(buf(t.out), i);
+      }
+      continue;
+    }
+    if (!is_binary(t, &k::matmul_into)) continue;
+    const auto it = transposes.find(buf(t.ins[0]));
+    if (it == transposes.end()) continue;
+    const Thunk& tr = ts[it->second];
+    if (!t.ins[0].same_shape(tr.out)) continue;
+    t.k2 = &k::matmul_tn_into;
+    t.ins[0] = tr.ins[0];
+    folded += 1;
+  }
+  return folded;
+}
+
+// ---- pass 3: dead-thunk elimination ---------------------------------------
 //
 // One backward scan computes transitive liveness exactly: a thunk is kept
 // only if its output is live below it (read by a kept thunk or a declared
@@ -232,7 +270,7 @@ std::size_t eliminate_dead_thunks(std::vector<Thunk>& ts,
   return removed;
 }
 
-// ---- pass 3: elementwise fusion -------------------------------------------
+// ---- pass 4: elementwise fusion -------------------------------------------
 //
 // Pattern-matches adjacent thunk runs whose intermediates are ephemeral —
 // written once, read once (both inside the pattern), not a declared output,
@@ -358,7 +396,7 @@ std::size_t fuse_elementwise(std::vector<Thunk>& ts,
   return fused_total;
 }
 
-// ---- pass 4: liveness-based arena reuse -----------------------------------
+// ---- pass 5: liveness-based arena reuse -----------------------------------
 //
 // Computes each buffer's live interval [first write, last access] over the
 // thunk sequence and greedily colors the interval graph per buffer-size
@@ -526,6 +564,8 @@ PassStats optimize_plan(ExecutionPlan& plan,
   std::vector<Thunk> ts = plan.take_thunks();
   s.deduplicated = eliminate_common_subexpressions(ts, outs);
   checked(ts, "cse");
+  s.folded = fold_transposed_matmuls(ts);
+  checked(ts, "transpose-fold");
   s.dead_eliminated = eliminate_dead_thunks(ts, outs);
   checked(ts, "dead-thunk");
   s.fused = fuse_elementwise(ts, outs);

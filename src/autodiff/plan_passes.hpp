@@ -14,12 +14,18 @@
 //      whose kernel, scalar bit pattern, input buffers and shapes match an
 //      earlier one is dropped and later reads of its output are redirected
 //      onto the earlier buffer, so whole recomputed chains collapse.
-//   2. Dead-thunk elimination — a thunk whose output buffer is never read
+//   2. Transpose->matmul fold — matmul backward multiplies by a
+//      materialized transpose, matmul(transpose(a), g). When the
+//      transpose's output is written once and `a` holds one value for the
+//      whole replay, the matmul is rewritten onto matmul_tn(a, g), which
+//      runs the same per-element accumulation on the same row chunking
+//      (tensor/simd.hpp), so the bits are unchanged.
+//   3. Dead-thunk elimination — a thunk whose output buffer is never read
 //      by a later thunk and is not a bound plan output computes a value
 //      nobody observes (e.g. forward values of zero-weight auxiliary loss
 //      terms); drop it. Iterated to a fixpoint, since dropping a consumer
 //      can kill its producers.
-//   3. Elementwise fusion — adjacent pair/triple/quad sequences whose
+//   4. Elementwise fusion — adjacent pair/triple/quad sequences whose
 //      intermediates die immediately are pattern-matched into the fused
 //      `_into` kernels (tensor/kernels.hpp): add+tanh -> bias_tanh,
 //      add+sin -> bias_sin, square+sum -> square_sum, the tanh-backward
@@ -28,7 +34,7 @@
 //      Every rewrite reuses a kernel whose bit-identity against the
 //      composition it replaces is already part of the SIMD layer's
 //      contract, so replay output is unchanged to the last bit.
-//   4. Liveness-based arena reuse — buffer live intervals over the thunk
+//   5. Liveness-based arena reuse — buffer live intervals over the thunk
 //      sequence are colored greedily (interval partitioning per buffer
 //      size class) so non-overlapping lifetimes share one pinned arena
 //      slot, shrinking arena_bytes(). Only buffers proven plan-private are
@@ -41,10 +47,16 @@
 // buffer written exactly once holds exactly one value per replay, so equal
 // keys mean equal bits. Arena reuse makes buffers multi-write, which would
 // hide every merge. Running CSE before dead-thunk elimination also lets
-// the producers of merged-away chains die there. Fusion runs before liveness
-// because fusing shortens live ranges (intermediates disappear), which is
-// exactly what makes interval coloring effective; liveness runs last because
-// re-binding invalidates the buffer-identity facts the earlier passes key on.
+// the producers of merged-away chains die there. The fold runs after CSE,
+// so one merged transpose serves every matmul that reads it, and before
+// dead-thunk elimination, so transposes it leaves without readers die
+// there. It must run before arena reuse for the same reason as CSE: its
+// single-assignment and stable() checks key on buffers written once, and
+// it lengthens `a`'s live range to the matmul, which the liveness
+// analysis has to see. Fusion runs before liveness because fusing shortens
+// live ranges (intermediates disappear), which is exactly what makes
+// interval coloring effective; liveness runs last because re-binding
+// invalidates the buffer-identity facts the earlier passes key on.
 //
 // After every pass, checked builds (QPINN_CHECKED) run verify_plan's
 // structural check over the rewritten thunk array.

@@ -400,6 +400,18 @@ class Demoter {
       return true;
     }
 
+    if (t.k2 == &k::matmul_tn_into) {
+      const float* ap = read_f32(a);
+      const float* bp = read_f32(b);
+      float* op = write_f32(o);
+      const std::int64_t rows = a.cols(), kk = a.rows(), m = b.cols();
+      emit(o, t.ins, [ap, bp, op, rows, kk, m] {
+        f32::matmul_tn(ap, bp, op, rows, kk, m);
+      });
+      wrote_f32(o);
+      return true;
+    }
+
     if (t.k2 == &k::bias_tanh_into || t.k2 == &k::bias_sin_into) {
       if (a.rank() != 2 || b.numel() != a.cols()) return false;
       const bool is_tanh = t.k2 == &k::bias_tanh_into;

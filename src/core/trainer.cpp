@@ -362,7 +362,8 @@ void Trainer::optimize_shard_plan(ShardPlan& sp) {
     log::debug() << problem_->name() << " plan optimized: "
                  << stats.thunks_before << " -> " << stats.thunks_after
                  << " thunks (" << stats.deduplicated << " deduplicated, "
-                 << stats.dead_eliminated << " dead, " << stats.fused
+                 << stats.folded << " folded, " << stats.dead_eliminated
+                 << " dead, " << stats.fused
                  << " fused), arena " << stats.arena_bytes_before << " -> "
                  << stats.arena_bytes_after << " bytes ("
                  << stats.buffers_rebound << " buffers re-bound)";

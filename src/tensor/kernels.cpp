@@ -513,9 +513,11 @@ namespace {
 
 // ---- matmul dispatch ------------------------------------------------------
 //
-// The register-tiled micro-kernels (kMmRowTile x 8 accumulator blocks,
-// FMA-accumulated on targets that have it, remainder fringes scalar) live
-// in tensor/simd.hpp and are selected per-ISA through the kernel table.
+// The register-blocked micro-kernels live in tensor/simd.hpp and are
+// selected per-ISA through the kernel table. They write every output
+// element; each one's accumulation order depends only on the variant and
+// on where its chunk starts (see the matmul rule in simd.hpp), so the
+// chunking below is part of the bit-identity contract.
 // No operand value is ever skipped — an earlier `aik == 0.0` shortcut
 // silently dropped IEEE NaN/Inf propagation (0 * NaN must be NaN).
 
@@ -552,8 +554,6 @@ void matmul_into(Tensor& out, const Tensor& a, const Tensor& b) {
   const double* pa = a.data();
   const double* pb = b.data();
   double* po = out.data();
-  // The micro-kernel fringe paths accumulate into pre-zeroed output rows.
-  std::fill(po, po + n * m, 0.0);
   auto* fn = simd::active().matmul_rows;
   parallel_for(
       static_cast<std::size_t>(n),
@@ -590,8 +590,8 @@ void matmul_tn_into(Tensor& out, const Tensor& a, const Tensor& b) {
   const double* pa = a.data();
   const double* pb = b.data();
   double* po = out.data();
-  std::fill(po, po + n * m, 0.0);
-  // out[i][j] = sum_kk a[kk][i] * b[kk][j]; parallelized over output rows i.
+  // out[i][j] = sum_kk a[kk][i] * b[kk][j]; parallelized over output rows i
+  // with matmul_into's grain, so it equals matmul(transpose(a), b) bitwise.
   auto* fn = simd::active().matmul_tn_rows;
   parallel_for(
       static_cast<std::size_t>(n),
@@ -607,41 +607,6 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
                     "matmul_tn requires rank-2 operands");
   Tensor out = Tensor::uninitialized(Shape{a.cols(), b.cols()});
   matmul_tn_into(out, a, b);
-  return out;
-}
-
-void matmul_nt_into(Tensor& out, const Tensor& a, const Tensor& b) {
-  QPINN_KERNEL_VALIDATE(a, "kernels.matmul_nt");
-  QPINN_KERNEL_VALIDATE(b, "kernels.matmul_nt");
-  QPINN_KERNEL_VALIDATE(out, "kernels.matmul_nt");
-  QPINN_CHECK_SHAPE(a.rank() == 2 && b.rank() == 2,
-                    "matmul_nt requires rank-2 operands");
-  QPINN_CHECK_SHAPE(a.cols() == b.cols(),
-                    "matmul_nt dimension mismatch: " +
-                        shape_to_string(a.shape()) + " x " +
-                        shape_to_string(b.shape()) + "^T");
-  const std::int64_t n = a.rows(), k = a.cols(), m = b.rows();
-  QPINN_CHECK_SHAPE(out.rank() == 2 && out.rows() == n && out.cols() == m,
-                    "matmul_nt output shape mismatch");
-  const double* pa = a.data();
-  const double* pb = b.data();
-  double* po = out.data();
-  std::fill(po, po + n * m, 0.0);
-  auto* fn = simd::active().matmul_nt_rows;
-  parallel_for(
-      static_cast<std::size_t>(n),
-      [&](std::size_t begin, std::size_t end) {
-        fn(pa, pb, po, static_cast<std::int64_t>(begin),
-           static_cast<std::int64_t>(end), k, m);
-      },
-      matmul_grain(k * m));
-}
-
-Tensor matmul_nt(const Tensor& a, const Tensor& b) {
-  QPINN_CHECK_SHAPE(a.rank() == 2 && b.rank() == 2,
-                    "matmul_nt requires rank-2 operands");
-  Tensor out = Tensor::uninitialized(Shape{a.rows(), b.rows()});
-  matmul_nt_into(out, a, b);
   return out;
 }
 

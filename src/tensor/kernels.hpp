@@ -50,15 +50,14 @@ Tensor abs(const Tensor& a);
 Tensor sign(const Tensor& a);
 
 // ---- linear algebra ------------------------------------------------------
-// The matmul trio shares a register-tiled micro-kernel (4x8 accumulator
-// blocks, remainder fringes handled scalar) and a serial-dispatch floor:
-// below ~4 output rows per chunk the work runs inline on the caller.
+// matmul and matmul_tn share one register-blocked micro-kernel and a
+// serial-dispatch floor: below ~4 output rows per chunk the work runs
+// inline on the caller.
 /// (N,K) x (K,M) -> (N,M); rank-2 only.
 Tensor matmul(const Tensor& a, const Tensor& b);
-/// a^T b without materializing the transpose: (K,N)^T (K,M) -> (N,M).
+/// a^T b without materializing the transpose: (K,N)^T (K,M) -> (N,M),
+/// bit-identical to matmul(transpose(a), b).
 Tensor matmul_tn(const Tensor& a, const Tensor& b);
-/// a b^T: (N,K) (M,K)^T -> (N,M).
-Tensor matmul_nt(const Tensor& a, const Tensor& b);
 Tensor transpose(const Tensor& a);
 
 // ---- reductions / broadcast management -----------------------------------
@@ -131,7 +130,6 @@ void abs_into(Tensor& out, const Tensor& a);
 void sign_into(Tensor& out, const Tensor& a);
 void matmul_into(Tensor& out, const Tensor& a, const Tensor& b);
 void matmul_tn_into(Tensor& out, const Tensor& a, const Tensor& b);
-void matmul_nt_into(Tensor& out, const Tensor& a, const Tensor& b);
 void transpose_into(Tensor& out, const Tensor& a);
 void sum_all_into(Tensor& out, const Tensor& a);
 void mean_all_into(Tensor& out, const Tensor& a);

@@ -259,13 +259,24 @@ void sum_to_rows(const float* a, float* o, std::size_t rows,
 
 void matmul(const float* a, const float* b, float* o, std::int64_t n,
             std::int64_t k, std::int64_t m) {
-  std::fill(o, o + n * m, 0.0F);
   auto* fn = simd::active_f32().matmul_rows;
   parallel_for(
       static_cast<std::size_t>(n),
       [&](std::size_t begin, std::size_t end) {
         fn(a, b, o, static_cast<std::int64_t>(begin),
            static_cast<std::int64_t>(end), k, m);
+      },
+      matmul_grain(k * m));
+}
+
+void matmul_tn(const float* a, const float* b, float* o, std::int64_t n,
+               std::int64_t k, std::int64_t m) {
+  auto* fn = simd::active_f32().matmul_tn_rows;
+  parallel_for(
+      static_cast<std::size_t>(n),
+      [&](std::size_t begin, std::size_t end) {
+        fn(a, b, o, static_cast<std::int64_t>(begin),
+           static_cast<std::int64_t>(end), k, n, m);
       },
       matmul_grain(k * m));
 }

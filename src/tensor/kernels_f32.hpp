@@ -100,6 +100,10 @@ void sum_to_rows(const float* a, float* o, std::size_t rows,
 /// out[n,m] = a[n,k] * b[k,m].
 void matmul(const float* a, const float* b, float* o, std::int64_t n,
             std::int64_t k, std::int64_t m);
+/// out[n,m] = a[k,n]^T * b[k,m]; bit-identical to matmul over
+/// transpose(a) (same micro-kernel rule, same row chunking).
+void matmul_tn(const float* a, const float* b, float* o, std::int64_t n,
+               std::int64_t k, std::int64_t m);
 
 // ---- reductions (double accumulation) ------------------------------------
 

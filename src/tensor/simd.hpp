@@ -42,12 +42,26 @@
 // but NOT bit-equal to it — the scalar fringe runs the same lane
 // algorithm, never libm, so every variant (and every thread-count
 // chunking) produces identical bits. Reductions (dot, sum, square_sum,
-// weighted_square_sum) and the matmul micro-kernels reassociate and may
-// use FMA, so they agree across variants only to rounding; they stay
-// deterministic for a fixed variant. IEEE semantics are preserved
-// everywhere: no operand value is skipped (0 * NaN stays NaN) and
-// comparisons are ordered/non-signaling, so NaN takes the "else" branch
-// exactly like the scalar ternaries.
+// weighted_square_sum) reassociate and may use FMA, so they agree across
+// variants only to rounding; they stay deterministic for a fixed variant.
+// IEEE semantics are preserved everywhere: no operand value is skipped
+// (0 * NaN stays NaN) and comparisons are ordered/non-signaling, so NaN
+// takes the "else" branch exactly like the scalar ternaries.
+//
+// Matmul accumulation rule (both element types; pinned bit for bit by
+// tests/simd_test.cpp). A micro-kernel call covers output rows [i0, i1)
+// and writes every element of them. Element (i, j) is TILED when it lies
+// in a complete kMmRowTile x 8 tile counted from i0 and from column 0:
+// i - i0 < kMmRowTile * floor((i1 - i0) / kMmRowTile) and
+// j < 8 * floor(m / 8). A tiled element is the chain
+//   acc = 0; for kk = 0..k-1: acc = V::fma(a[i][kk], b[kk][j], acc)
+// (fused on AVX2/NEON, a*b + acc unfused on scalar/SSE2); every other
+// element is acc = 0; for kk = 0..k-1: acc = acc + a[i][kk] * b[kk][j],
+// always unfused. k == 0 yields zeros. Results therefore depend on the
+// variant (its kMmRowTile and whether fma fuses) and on i0 — i.e. on the
+// caller's row chunking, which kernels.cpp fixes per shape and pool size —
+// but never on register blocking, depth blocking or operand layout:
+// matmul_tn_rows(a, ...) equals matmul_rows(transpose(a), ...) exactly.
 //
 // The fp32 tables keep the same per-variant bit-identity guarantees for
 // the elementwise kernels (scalar fringe == vector lane expression, no
@@ -151,17 +165,16 @@ struct KernelTableT {
   void (*adam)(T* p, const T* g, T* m, T* v, std::size_t n,
                const AdamParams& cfg);
 
-  // Matmul micro-kernels over output rows [i0, i1); out rows pre-zeroed.
+  // Matmul micro-kernels over output rows [i0, i1); every element of those
+  // rows is written (see "Matmul accumulation rule" above).
   // matmul_rows:    out[n,m] = a[n,k] * b[k,m]
-  // matmul_tn_rows: out[n,m] = a[k,n]^T * b[k,m]
-  // matmul_nt_rows: out[n,m] = a[n,k] * b[m,k]^T
+  // matmul_tn_rows: out[n,m] = a[k,n]^T * b[k,m], bit-identical to
+  //                 matmul_rows over the materialized transpose
   void (*matmul_rows)(const T* a, const T* b, T* o, std::int64_t i0,
                       std::int64_t i1, std::int64_t k, std::int64_t m);
   void (*matmul_tn_rows)(const T* a, const T* b, T* o, std::int64_t i0,
                          std::int64_t i1, std::int64_t k, std::int64_t n,
                          std::int64_t m);
-  void (*matmul_nt_rows)(const T* a, const T* b, T* o, std::int64_t i0,
-                         std::int64_t i1, std::int64_t k, std::int64_t m);
 };
 
 using KernelTable = KernelTableT<double>;
@@ -1274,218 +1287,209 @@ void adam_sweep(typename V::elem* p, const typename V::elem* g,
 
 // ---- matmul micro-kernels ------------------------------------------------
 //
-// Register-tiled accumulator blocks of V::kMmRowTile output rows by 8
-// output columns (8 / kWidth vector registers per row). Each loaded
-// element feeds several FMAs; remainder fringes run plain scalar loops.
-// No operand value is ever skipped (0 * NaN stays NaN).
+// One register-blocked kernel serves both table entries: matmul_rows reads
+// a[n,k] and matmul_tn_rows reads a[k,n] through the same strided accessor,
+// so a^T b never materializes the transpose. Every output element in rows
+// [i0, i1) is written and follows the matmul accumulation rule in the
+// header comment.
+//
+// Register blocks (kMmRegRows rows by kMmBlockCols columns, at most 12
+// accumulators), depth blocks (mm_depth_block) and the order blocks run in
+// are performance choices only: each element's chain is the same, and an
+// accumulator parked in the output between depth blocks is stored and
+// reloaded exactly. No operand value is ever skipped (0 * NaN stays NaN).
 
 inline constexpr std::int64_t kMmColTile = 8;
 
-/// Depth cap for the stack-packed panels of the transposed matmul variants
-/// (mm_tn_rows / mm_nt_rows). Panels are at most kMmPackK * 8 elements
-/// (32 KiB of doubles) of stack — no heap traffic — and every layer in
-/// this codebase has k far below the cap; larger k falls back to the
-/// unpacked tile loop.
-inline constexpr std::int64_t kMmPackK = 512;
+/// Columns per register block: one 8-column tile, or two when a register
+/// holds all 8 (fp32 AVX2), so each broadcast of `a` feeds two FMAs.
+template <class V>
+inline constexpr std::int64_t kMmBlockCols =
+    V::kWidth >= 8 ? 2 * kMmColTile : kMmColTile;
 
+/// Rows per register block: 12 accumulator registers in total.
+template <class V>
+inline constexpr std::int64_t kMmRegRows = std::max<std::int64_t>(
+    1, 12 * static_cast<std::int64_t>(V::kWidth) / kMmBlockCols<V>);
+
+/// Depth block: kk steps per pass over the output. One depth block of b
+/// (all m columns, 32 KiB at most) stays in L1 while every row block of
+/// the chunk streams against it; between blocks the accumulators park in
+/// the output. Bounded so narrow outputs still get long runs.
+template <class T>
+std::int64_t mm_depth_block(std::int64_t m) {
+  constexpr std::int64_t kL1Bytes = 32 * 1024;
+  const auto row_bytes = static_cast<std::int64_t>(sizeof(T)) *
+                         std::max<std::int64_t>(m, 1);
+  return std::clamp<std::int64_t>(kL1Bytes / row_bytes, 32, 256);
+}
+
+/// Unfused scalar lanes of V's element type for the column fringe. Keyed
+/// on V so every per-ISA translation unit instantiates its own copy: the
+/// linker never merges code compiled for different targets.
+template <class V>
+struct MmLanes {
+  using elem = typename V::elem;
+  using reg = elem;
+  static constexpr std::size_t kWidth = 1;
+  static reg load(const elem* p) { return *p; }
+  static void store(elem* p, reg v) { *p = v; }
+  static reg set1(elem s) { return s; }
+  static reg zero() { return elem(0); }
+  static reg add(reg a, reg b) { return a + b; }
+  static reg mul(reg a, reg b) { return a * b; }
+};
+
+/// Strided view of the left operand: (r, t) is p[r * ld + t], or
+/// p[t * ld + r] when kTn (a stored [k, n] and read transposed).
+template <class T, bool kTn>
+struct MmOperand {
+  const T* p;
+  std::int64_t ld;
+  /// The view whose (0, 0) is this view's (r, t).
+  MmOperand at(std::int64_t r, std::int64_t t) const {
+    return {kTn ? p + t * ld + r : p + r * ld + t, ld};
+  }
+  T operator()(std::int64_t r, std::int64_t t) const {
+    return kTn ? p[t * ld + r] : p[r * ld + t];
+  }
+};
+
+/// MR output rows by NV*kWidth columns at `po` (row stride m) over `kn`
+/// depth steps; `a` and `pb` point at the block's first row and depth
+/// step. The first depth block starts from zero, later ones reload the
+/// accumulators the previous block stored.
+template <class V, bool kFma, std::int64_t MR, std::int64_t NV, class A>
+inline void mm_block(A a, const typename V::elem* pb, typename V::elem* po,
+                     std::int64_t kn, bool first, std::int64_t m) {
+  constexpr auto w = static_cast<std::int64_t>(V::kWidth);
+  typename V::reg acc[MR][NV];
+  for (std::int64_t r = 0; r < MR; ++r) {
+    for (std::int64_t c = 0; c < NV; ++c) {
+      acc[r][c] = first ? V::zero() : V::load(po + r * m + c * w);
+    }
+  }
+  for (std::int64_t t = 0; t < kn; ++t) {
+    const typename V::elem* b_row = pb + t * m;
+    typename V::reg bv[NV];
+    for (std::int64_t c = 0; c < NV; ++c) bv[c] = V::load(b_row + c * w);
+    for (std::int64_t r = 0; r < MR; ++r) {
+      const typename V::reg a_rt = V::set1(a(r, t));
+      for (std::int64_t c = 0; c < NV; ++c) {
+        if constexpr (kFma) {
+          acc[r][c] = V::fma(a_rt, bv[c], acc[r][c]);
+        } else {
+          acc[r][c] = V::add(acc[r][c], V::mul(a_rt, bv[c]));
+        }
+      }
+    }
+  }
+  for (std::int64_t r = 0; r < MR; ++r) {
+    for (std::int64_t c = 0; c < NV; ++c) {
+      V::store(po + r * m + c * w, acc[r][c]);
+    }
+  }
+}
+
+/// `rows` (<= MR) output rows across the tiled columns [0, j_end): full
+/// register blocks, then one 8-column block when kMmBlockCols is 16.
+template <class V, bool kFma, std::int64_t MR, class A>
+void mm_row_block(A a, const typename V::elem* pb, typename V::elem* po,
+                  std::int64_t rows, std::int64_t j_end, std::int64_t kn,
+                  bool first, std::int64_t m) {
+  if constexpr (MR > 1) {
+    if (rows < MR) {
+      mm_row_block<V, kFma, MR - 1>(a, pb, po, rows, j_end, kn, first, m);
+      return;
+    }
+  }
+  constexpr auto w = static_cast<std::int64_t>(V::kWidth);
+  constexpr std::int64_t nc = kMmBlockCols<V>;
+  std::int64_t j = 0;
+  for (; j + nc <= j_end; j += nc) {
+    mm_block<V, kFma, MR, nc / w>(a, pb + j, po + j, kn, first, m);
+  }
+  if constexpr (nc != kMmColTile) {
+    if (j < j_end) {
+      mm_block<V, kFma, MR, kMmColTile / w>(a, pb + j, po + j, kn, first, m);
+    }
+  }
+}
+
+/// The nc (< kMmColTile) fringe columns at `po` of `rows` rows, unfused,
+/// in scalar register blocks of up to 12 accumulators.
+template <class V, std::int64_t NC, class A>
+void mm_fringe_cols(A a, const typename V::elem* pb, typename V::elem* po,
+                    std::int64_t rows, std::int64_t nc, std::int64_t kn,
+                    bool first, std::int64_t m) {
+  if constexpr (NC > 1) {
+    if (nc < NC) {
+      mm_fringe_cols<V, NC - 1>(a, pb, po, rows, nc, kn, first, m);
+      return;
+    }
+  }
+  using L = MmLanes<V>;
+  constexpr std::int64_t fr =
+      std::max<std::int64_t>(1, std::min(12 / NC, (15 - NC) / NC));
+  std::int64_t r = 0;
+  for (; r + fr <= rows; r += fr) {
+    mm_block<L, false, fr, NC>(a.at(r, 0), pb, po + r * m, kn, first, m);
+  }
+  for (; r < rows; ++r) {
+    mm_block<L, false, 1, NC>(a.at(r, 0), pb, po + r * m, kn, first, m);
+  }
+}
+
+template <class V, class A>
+void mm_kernel(A a, const typename V::elem* pb, typename V::elem* po,
+               std::int64_t i0, std::int64_t i1, std::int64_t k,
+               std::int64_t m) {
+  using T = typename V::elem;
+  constexpr std::int64_t rt = V::kMmRowTile;
+  constexpr std::int64_t mr = kMmRegRows<V>;
+  const std::int64_t tiled_end = i0 + (i1 - i0) / rt * rt;
+  const std::int64_t mfull = m / kMmColTile * kMmColTile;
+  const std::int64_t kc = mm_depth_block<T>(m);
+  // At least one depth block, so k == 0 still writes zeros.
+  for (std::int64_t k0 = 0; k0 == 0 || k0 < k; k0 += kc) {
+    const std::int64_t kn = std::min(kc, k - k0);
+    const bool first = k0 == 0;
+    const T* pbk = pb + k0 * m;
+    if (mfull > 0) {
+      for (std::int64_t i = i0; i < tiled_end; i += mr) {
+        mm_row_block<V, true, mr>(a.at(i, k0), pbk, po + i * m,
+                                  std::min(mr, tiled_end - i), mfull, kn,
+                                  first, m);
+      }
+      for (std::int64_t i = tiled_end; i < i1; i += mr) {
+        mm_row_block<V, false, mr>(a.at(i, k0), pbk, po + i * m,
+                                   std::min(mr, i1 - i), mfull, kn, first, m);
+      }
+    }
+    if (mfull < m) {
+      mm_fringe_cols<V, kMmColTile - 1>(a.at(i0, k0), pbk + mfull,
+                                        po + i0 * m + mfull, i1 - i0,
+                                        m - mfull, kn, first, m);
+    }
+  }
+}
+
+/// out[n,m] = a[n,k] * b[k,m], output rows [i0, i1).
 template <class V>
 void mm_rows(const typename V::elem* pa, const typename V::elem* pb,
              typename V::elem* po, std::int64_t i0, std::int64_t i1,
              std::int64_t k, std::int64_t m) {
-  using T = typename V::elem;
-  constexpr std::int64_t rt = V::kMmRowTile;
-  constexpr std::int64_t cv =
-      kMmColTile / static_cast<std::int64_t>(V::kWidth);
-  constexpr std::size_t w = V::kWidth;
-  for (std::int64_t i = i0; i < i1; i += rt) {
-    const std::int64_t ib = std::min(rt, i1 - i);
-    for (std::int64_t j = 0; j < m; j += kMmColTile) {
-      const std::int64_t jb = std::min(kMmColTile, m - j);
-      if (ib == rt && jb == kMmColTile) {
-        typename V::reg acc[rt][cv];
-        for (std::int64_t r = 0; r < rt; ++r) {
-          for (std::int64_t c = 0; c < cv; ++c) acc[r][c] = V::zero();
-        }
-        for (std::int64_t kk = 0; kk < k; ++kk) {
-          const T* b_row = pb + kk * m + j;
-          typename V::reg bv[cv];
-          for (std::int64_t c = 0; c < cv; ++c) {
-            bv[c] = V::load(b_row + static_cast<std::size_t>(c) * w);
-          }
-          for (std::int64_t r = 0; r < rt; ++r) {
-            const typename V::reg a_rk = V::set1(pa[(i + r) * k + kk]);
-            for (std::int64_t c = 0; c < cv; ++c) {
-              acc[r][c] = V::fma(a_rk, bv[c], acc[r][c]);
-            }
-          }
-        }
-        for (std::int64_t r = 0; r < rt; ++r) {
-          T* out_row = po + (i + r) * m + j;
-          for (std::int64_t c = 0; c < cv; ++c) {
-            V::store(out_row + static_cast<std::size_t>(c) * w, acc[r][c]);
-          }
-        }
-      } else {
-        for (std::int64_t r = 0; r < ib; ++r) {
-          T* out_row = po + (i + r) * m + j;
-          const T* a_row = pa + (i + r) * k;
-          for (std::int64_t kk = 0; kk < k; ++kk) {
-            const T a_rk = a_row[kk];
-            const T* b_row = pb + kk * m + j;
-            for (std::int64_t c = 0; c < jb; ++c) {
-              out_row[c] += a_rk * b_row[c];
-            }
-          }
-        }
-      }
-    }
-  }
+  mm_kernel<V>(MmOperand<typename V::elem, false>{pa, k}, pb, po, i0, i1, k,
+               m);
 }
 
-// a[k,n]^T * b[k,m]: row r of the output tile reads COLUMN i+r of `a`, a
-// stride-n walk that touches a fresh cache line per k step. The packed path
-// copies the rt columns of the current row tile into a contiguous stack
-// panel once, then every column tile of `b` streams against it with the
-// exact FMA schedule of mm_rows.
+/// out[n,m] = a[k,n]^T * b[k,m], output rows [i0, i1).
 template <class V>
 void mm_tn_rows(const typename V::elem* pa, const typename V::elem* pb,
                 typename V::elem* po, std::int64_t i0, std::int64_t i1,
                 std::int64_t k, std::int64_t n, std::int64_t m) {
-  using T = typename V::elem;
-  constexpr std::int64_t rt = V::kMmRowTile;
-  constexpr std::int64_t cv =
-      kMmColTile / static_cast<std::int64_t>(V::kWidth);
-  constexpr std::size_t w = V::kWidth;
-  alignas(64) T apack[static_cast<std::size_t>(kMmPackK * rt)];
-  for (std::int64_t i = i0; i < i1; i += rt) {
-    const std::int64_t ib = std::min(rt, i1 - i);
-    const bool packed = ib == rt && k <= kMmPackK;
-    if (packed) {
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        const T* a_col = pa + kk * n + i;
-        for (std::int64_t r = 0; r < rt; ++r) apack[kk * rt + r] = a_col[r];
-      }
-    }
-    for (std::int64_t j = 0; j < m; j += kMmColTile) {
-      const std::int64_t jb = std::min(kMmColTile, m - j);
-      if (ib == rt && jb == kMmColTile) {
-        typename V::reg acc[rt][cv];
-        for (std::int64_t r = 0; r < rt; ++r) {
-          for (std::int64_t c = 0; c < cv; ++c) acc[r][c] = V::zero();
-        }
-        for (std::int64_t kk = 0; kk < k; ++kk) {
-          const T* a_col = packed ? apack + kk * rt : pa + kk * n + i;
-          const T* b_row = pb + kk * m + j;
-          typename V::reg bv[cv];
-          for (std::int64_t c = 0; c < cv; ++c) {
-            bv[c] = V::load(b_row + static_cast<std::size_t>(c) * w);
-          }
-          for (std::int64_t r = 0; r < rt; ++r) {
-            const typename V::reg a_rk = V::set1(a_col[r]);
-            for (std::int64_t c = 0; c < cv; ++c) {
-              acc[r][c] = V::fma(a_rk, bv[c], acc[r][c]);
-            }
-          }
-        }
-        for (std::int64_t r = 0; r < rt; ++r) {
-          T* out_row = po + (i + r) * m + j;
-          for (std::int64_t c = 0; c < cv; ++c) {
-            V::store(out_row + static_cast<std::size_t>(c) * w, acc[r][c]);
-          }
-        }
-      } else {
-        for (std::int64_t kk = 0; kk < k; ++kk) {
-          const T* a_col = pa + kk * n + i;
-          const T* b_row = pb + kk * m + j;
-          for (std::int64_t r = 0; r < ib; ++r) {
-            T* out_row = po + (i + r) * m + j;
-            const T a_rk = a_col[r];
-            for (std::int64_t c = 0; c < jb; ++c) {
-              out_row[c] += a_rk * b_row[c];
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-// a[n,k] * b[m,k]^T: output column j+c reads ROW j+c of `b`, so the
-// broadcast-A tile of mm_rows needs b transposed. The packed path
-// transposes an 8-row panel of `b` into a contiguous stack buffer once per
-// column tile — amortized over every row tile of `a` — and then runs the
-// mm_rows schedule (broadcast a, vector b, one FMA per element) instead of
-// per-element dot products ending in a horizontal sum. Fringes and
-// deeper-than-cap k fall back to vector dots with a scalar tail.
-template <class V>
-void mm_nt_rows(const typename V::elem* pa, const typename V::elem* pb,
-                typename V::elem* po, std::int64_t i0, std::int64_t i1,
-                std::int64_t k, std::int64_t m) {
-  using T = typename V::elem;
-  constexpr std::int64_t rt = V::kMmRowTile;
-  constexpr std::int64_t cv =
-      kMmColTile / static_cast<std::int64_t>(V::kWidth);
-  constexpr std::size_t w = V::kWidth;
-  const std::size_t kw = static_cast<std::size_t>(k);
-  alignas(64) T bpack[static_cast<std::size_t>(kMmPackK * kMmColTile)];
-  for (std::int64_t j = 0; j < m; j += kMmColTile) {
-    const std::int64_t jb = std::min(kMmColTile, m - j);
-    const bool packed = jb == kMmColTile && k <= kMmPackK;
-    if (packed) {
-      for (std::int64_t c = 0; c < kMmColTile; ++c) {
-        const T* b_row = pb + (j + c) * k;
-        for (std::int64_t kk = 0; kk < k; ++kk) {
-          bpack[kk * kMmColTile + c] = b_row[kk];
-        }
-      }
-    }
-    for (std::int64_t i = i0; i < i1; i += rt) {
-      const std::int64_t ib = std::min(rt, i1 - i);
-      if (packed && ib == rt) {
-        typename V::reg acc[rt][cv];
-        for (std::int64_t r = 0; r < rt; ++r) {
-          for (std::int64_t c = 0; c < cv; ++c) acc[r][c] = V::zero();
-        }
-        for (std::int64_t kk = 0; kk < k; ++kk) {
-          const T* b_row = bpack + kk * kMmColTile;
-          typename V::reg bv[cv];
-          for (std::int64_t c = 0; c < cv; ++c) {
-            bv[c] = V::load(b_row + static_cast<std::size_t>(c) * w);
-          }
-          for (std::int64_t r = 0; r < rt; ++r) {
-            const typename V::reg a_rk = V::set1(pa[(i + r) * k + kk]);
-            for (std::int64_t c = 0; c < cv; ++c) {
-              acc[r][c] = V::fma(a_rk, bv[c], acc[r][c]);
-            }
-          }
-        }
-        for (std::int64_t r = 0; r < rt; ++r) {
-          T* out_row = po + (i + r) * m + j;
-          for (std::int64_t c = 0; c < cv; ++c) {
-            V::store(out_row + static_cast<std::size_t>(c) * w, acc[r][c]);
-          }
-        }
-      } else {
-        // Fringe tile or k beyond the pack cap: per-element vector dot
-        // products with a scalar k-tail.
-        for (std::int64_t r = 0; r < ib; ++r) {
-          const T* a_row = pa + (i + r) * k;
-          T* out_row = po + (i + r) * m + j;
-          for (std::int64_t c = 0; c < jb; ++c) {
-            const T* b_row = pb + (j + c) * k;
-            typename V::reg acc = V::zero();
-            std::size_t kk = 0;
-            for (; kk + w <= kw; kk += w) {
-              acc = V::fma(V::load(a_row + kk), V::load(b_row + kk), acc);
-            }
-            T total = V::hsum(acc);
-            for (; kk < kw; ++kk) total += a_row[kk] * b_row[kk];
-            out_row[c] = total;
-          }
-        }
-      }
-    }
-  }
+  mm_kernel<V>(MmOperand<typename V::elem, true>{pa, n}, pb, po, i0, i1, k,
+               m);
 }
 
 /// Builds the full table for one vector wrapper. Instantiated once per
@@ -1529,7 +1533,6 @@ KernelTableT<typename V::elem> make_table(Isa isa, const char* name) {
   t.adam = &adam_sweep<V>;
   t.matmul_rows = &mm_rows<V>;
   t.matmul_tn_rows = &mm_tn_rows<V>;
-  t.matmul_nt_rows = &mm_nt_rows<V>;
   return t;
 }
 

@@ -401,20 +401,22 @@ TEST(PlanPassesUnit, SinCosPairRecomputedTwiceCollapsesTransitively) {
   expect_same_bits(kernels::add(m, m), out);
 }
 
-// Builds the same hand-made plan twice and optimizes one copy: CSE must
-// merge nothing, and every returned tensor must replay bit-identically to
-// the verbatim copy. The first `declared` tensors are the plan outputs; the
-// rest are held by the host without being declared.
+// Builds the same hand-made plan twice and optimizes one copy: the pass
+// counted by `rewrites` (CSE by default) must rewrite nothing, and every
+// returned tensor must replay bit-identically to the verbatim copy. The
+// first `declared` tensors are the plan outputs; the rest are held by the
+// host without being declared.
 void expect_no_merge(
     const std::function<std::vector<Tensor>(plan::ExecutionPlan&)>& build,
-    std::size_t declared) {
+    std::size_t declared,
+    std::size_t plan::PassStats::*rewrites = &plan::PassStats::deduplicated) {
   plan::ExecutionPlan verbatim, optimized;
   const std::vector<Tensor> want = build(verbatim);
   const std::vector<Tensor> got = build(optimized);
   const std::vector<Tensor> outputs(
       got.begin(), got.begin() + static_cast<std::ptrdiff_t>(declared));
   const plan::PassStats stats = plan::optimize_plan(optimized, outputs);
-  EXPECT_EQ(stats.deduplicated, 0u);
+  EXPECT_EQ(stats.*rewrites, 0u);
   EXPECT_NO_THROW(plan::verify_plan(optimized, "test"));
   verbatim.replay();
   optimized.replay();
@@ -501,6 +503,114 @@ TEST(PlanPassesUnit, CseRefusesUnsafeMerges) {
   }
 }
 
+// --- unit: transpose->matmul fold -------------------------------------------
+
+/// Number of thunks in `p` running binary kernel `f`.
+std::size_t count_binary(const plan::ExecutionPlan& p, plan::BinaryKernel f) {
+  std::size_t n = 0;
+  for (const plan::Thunk& t : p.thunks()) {
+    if (t.kind == plan::ThunkKind::kBinary && t.k2 == f) ++n;
+  }
+  return n;
+}
+
+// matmul(transpose(x), g) — the matmul-backward shape — becomes one
+// matmul_tn reading x in place; the transpose loses its only reader and
+// dies, and the replayed product keeps every bit.
+TEST(PlanPassesUnit, TransposeMatmulFoldsOntoMatmulTn) {
+  Rng rng(37);
+  Tensor x = Tensor::randn({18, 5}, rng);
+  Tensor g = Tensor::randn({18, 9}, rng);
+  Tensor out;
+  plan::ExecutionPlan p;
+  {
+    plan::CaptureScope scope(p);
+    ad::NoGradGuard no_grad;
+    out = ad::matmul(ad::transpose(ad::Variable::constant(x)),
+                     ad::Variable::constant(g))
+              .value();
+  }
+  ASSERT_EQ(p.size(), 2u);
+  const plan::PassStats stats = plan::optimize_plan(p, {out});
+  EXPECT_EQ(stats.folded, 1u);
+  EXPECT_EQ(stats.dead_eliminated, 1u);
+  ASSERT_EQ(p.size(), 1u);
+  EXPECT_EQ(count_unary(p, &kernels::transpose_into, 5), 0u);
+  ASSERT_EQ(count_binary(p, &kernels::matmul_tn_into), 1u);
+  EXPECT_EQ(p.thunks()[0].ins[0].data(), x.data());
+  EXPECT_NO_THROW(plan::verify_plan(p, "test"));
+
+  kernels::copy_into(x, Tensor::randn({18, 5}, rng));
+  kernels::copy_into(g, Tensor::randn({18, 9}, rng));
+  p.replay();
+  expect_same_bits(kernels::matmul(kernels::transpose(x), g), out);
+}
+
+TEST(PlanPassesUnit, TransposeMatmulFoldRefusesUnsafeOperands) {
+  Rng rng(41);
+  const Tensor x = Tensor::randn({12, 4}, rng);
+  const Tensor y = Tensor::randn({12, 4}, rng);
+  const Tensor g = Tensor::randn({12, 3}, rng);
+  const Tensor w = Tensor::randn({6, 4}, rng);
+  constexpr auto kFolded = &plan::PassStats::folded;
+
+  {
+    SCOPED_TRACE("operand rewritten between transpose and matmul");
+    expect_no_merge(
+        [&](plan::ExecutionPlan& p) {
+          plan::CaptureScope scope(p);
+          Tensor acc = Tensor::zeros({12, 4});
+          Tensor t = Tensor::zeros({4, 12});
+          Tensor out = Tensor::zeros({4, 3});
+          plan::record_copy_axpy(acc, x, 1.0, y);
+          plan::record_unary(t, &kernels::transpose_into, acc);
+          plan::record_axpy_acc(acc, 1.0, y);  // acc now holds x + 2y
+          plan::record_binary(out, &kernels::matmul_into, t, g);
+          return std::vector<Tensor>{out, acc};
+        },
+        2, kFolded);
+  }
+  {
+    SCOPED_TRACE("transpose as the right operand");
+    expect_no_merge(
+        [&](plan::ExecutionPlan& p) {
+          plan::CaptureScope scope(p);
+          ad::NoGradGuard no_grad;
+          const ad::Variable t = ad::transpose(ad::Variable::constant(x));
+          return std::vector<Tensor>{
+              ad::matmul(ad::Variable::constant(w), t).value()};
+        },
+        1, kFolded);
+  }
+}
+
+// A transpose that is itself a declared output keeps its thunk (and its
+// value); the matmul reading it still folds.
+TEST(PlanPassesUnit, DeclaredTransposeOutputSurvivesTheFold) {
+  Rng rng(43);
+  Tensor x = Tensor::randn({10, 6}, rng);
+  const Tensor g = Tensor::randn({10, 8}, rng);
+  Tensor t, out;
+  plan::ExecutionPlan p;
+  {
+    plan::CaptureScope scope(p);
+    ad::NoGradGuard no_grad;
+    const ad::Variable tv = ad::transpose(ad::Variable::constant(x));
+    t = tv.value();
+    out = ad::matmul(tv, ad::Variable::constant(g)).value();
+  }
+  const plan::PassStats stats = plan::optimize_plan(p, {out, t});
+  EXPECT_EQ(stats.folded, 1u);
+  EXPECT_EQ(count_unary(p, &kernels::transpose_into, 6), 1u);
+  EXPECT_EQ(count_binary(p, &kernels::matmul_tn_into), 1u);
+
+  kernels::copy_into(x, Tensor::randn({10, 6}, rng));
+  p.replay();
+  const Tensor want_t = kernels::transpose(x);
+  expect_same_bits(want_t, t);
+  expect_same_bits(kernels::matmul(want_t, g), out);
+}
+
 // --- unit: structural check -------------------------------------------------
 
 // A plan that reads a buffer before its first write and writes it later
@@ -582,10 +692,28 @@ TEST(PlanPassesTrainer, TdsePlanShrinksAndStaysBitIdenticalEveryIsa) {
       }
     }
     ASSERT_GT(count_unary(step_plan, &kernels::sin_into, 6), 1u);
-    plan::optimize_plan(step_plan, outputs);
+    // Every matmul backward multiplies by a transposed activation, which
+    // has the interior row count; the fold reads them all in place, so
+    // none of those transposes survives (weight-sized ones may).
+    const std::int64_t rows = trainer.collocation().interior.rows();
+    const auto activation_transposes = [&] {
+      std::size_t n = 0;
+      for (const plan::Thunk& t : step_plan.thunks()) {
+        if (t.kind == plan::ThunkKind::kUnary &&
+            t.k1 == &kernels::transpose_into && t.ins[0].rows() == rows) {
+          ++n;
+        }
+      }
+      return n;
+    };
+    ASSERT_GT(activation_transposes(), 0u);
+    const plan::PassStats step_stats =
+        plan::optimize_plan(step_plan, outputs);
     EXPECT_NO_THROW(plan::verify_plan(step_plan, "test"));
     EXPECT_EQ(count_unary(step_plan, &kernels::sin_into, 6), 1u);
     EXPECT_EQ(count_unary(step_plan, &kernels::cos_into, 6), 1u);
+    EXPECT_GT(step_stats.folded, 0u);
+    EXPECT_EQ(activation_transposes(), 0u);
   }
 }
 

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -34,6 +35,7 @@
 #include "autodiff/grad.hpp"
 #include "autodiff/ops.hpp"
 #include "autodiff/plan.hpp"
+#include "autodiff/plan_passes.hpp"
 #include "autodiff/precision.hpp"
 #include "core/benchmarks.hpp"
 #include "core/checkpoint.hpp"
@@ -290,6 +292,71 @@ TEST(CrossPrecision, GradSweepHoldsUnderEverySimdVariant) {
     }
   }
   ASSERT_TRUE(simd::force_isa(original));
+}
+
+// The plan optimizer folds matmul(transpose(a), g) onto matmul_tn_into, so
+// optimized training plans carry matmul_tn thunks. Demotion must lower them
+// onto the fp32 table — demoted, not kept in fp64 — and the fp32 kernel
+// reads `a` in place with the same accumulation rule as the fp32
+// transpose+matmul composition, so the loss matches that composition to
+// the last bit and the gradient stays within the mixed tolerance.
+TEST(CrossPrecision, DemotedMatmulTnMatchesTheFp32Composition) {
+  Rng rng(20261017);
+  const Shape a_shape{40, 6};
+  Tensor x = Tensor::rand(a_shape, rng, -1.0, 1.0);
+  const Tensor y = Tensor::rand({40, 3}, rng, -1.0, 1.0);
+  const auto loss_of = [&](const ad::Variable& xv) {
+    return ad::square_sum(
+        ad::matmul(ad::transpose(xv), ad::Variable::constant(y)));
+  };
+
+  plan::ExecutionPlan p;
+  Tensor loss_buf, grad_buf;
+  {
+    plan::CaptureScope scope(p);
+    const ad::Variable xv = ad::Variable::leaf(x);
+    const ad::Variable loss = loss_of(xv);
+    loss_buf = loss.value();
+    grad_buf = ad::grad(loss, {xv})[0].value();
+  }
+  plan::optimize_plan(p, {loss_buf, grad_buf});
+  std::size_t matmul_tn = 0;
+  for (const plan::Thunk& t : p.thunks()) {
+    if (t.kind == plan::ThunkKind::kBinary &&
+        t.k2 == &kernels::matmul_tn_into) {
+      ++matmul_tn;
+    }
+  }
+  ASSERT_GT(matmul_tn, 0u) << "the fold left no matmul_tn to demote";
+  const ad::DemoteStats stats = ad::demote_plan(p, {loss_buf, grad_buf});
+  EXPECT_EQ(stats.kept_fp64, 0u);
+  EXPECT_EQ(stats.demoted, stats.thunks_before);
+
+  kernels::copy_into(x, Tensor::rand(a_shape, rng, -1.0, 1.0));
+  p.replay();
+
+  std::vector<float> xf(static_cast<std::size_t>(x.numel()));
+  std::vector<float> yf(static_cast<std::size_t>(y.numel()));
+  std::vector<float> xt(xf.size()), prod(6 * 3);
+  f32::downcast(xf.data(), x.data(), xf.size());
+  f32::downcast(yf.data(), y.data(), yf.size());
+  f32::transpose(xf.data(), xt.data(), 40, 6);
+  f32::matmul(xt.data(), yf.data(), prod.data(), 6, 40, 3);
+  const double want_loss = f32::square_sum(prod.data(), prod.size());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(loss_buf[0]),
+            std::bit_cast<std::uint64_t>(want_loss))
+      << loss_buf[0] << " vs " << want_loss;
+
+  const ad::Variable ref_x = ad::Variable::leaf(x.clone());
+  const ad::Variable ref_loss = loss_of(ref_x);
+  const Tensor ref_grad = ad::grad(ref_loss, {ref_x})[0].value();
+  EXPECT_NEAR(loss_buf[0], ref_loss.item(),
+              1e-4 * std::max(1.0, std::abs(ref_loss.item())));
+  for (std::int64_t i = 0; i < ref_grad.numel(); ++i) {
+    ASSERT_NEAR(grad_buf[i], ref_grad[i],
+                1e-4 * std::max(1.0, std::abs(ref_grad[i])))
+        << "grad element " << i;
+  }
 }
 
 // ---- trainer-level accuracy and checkpoint contracts -----------------------

@@ -1,19 +1,22 @@
 // SIMD dispatch layer: every selectable variant must agree with the scalar
 // table. Elementwise, in-place, and Adam kernels are bit-identical by
 // contract (same operations in the same order, fringes use the same scalar
-// expressions); reductions and matmuls reassociate and are compared with a
-// tolerance. Lengths straddle the vector width (1, w-1, w, w+1), a
-// non-multiple mid size, and a large size, on deliberately unaligned
-// pointers — the kernels must not assume alignment.
+// expressions); reductions reassociate and are compared with a tolerance,
+// and the matmul kernels are pinned bit for bit to their documented
+// per-element accumulation rule. Lengths straddle the vector width (1, w-1,
+// w, w+1), a non-multiple mid size, and a large size, on deliberately
+// unaligned pointers — the kernels must not assume alignment.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "tensor/kernels.hpp"
+#include "tensor/kernels_f32.hpp"
 #include "tensor/simd.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -270,8 +273,6 @@ TEST_P(SimdVariantP, MatmulMicroKernelsMatchScalarWithinTolerance) {
                                         -1.0, 1.0);
   const std::vector<double> b = filled(static_cast<std::size_t>(k * m), 89,
                                        -1.0, 1.0);
-  const std::vector<double> bt = filled(static_cast<std::size_t>(m * k), 97,
-                                        -1.0, 1.0);
   const std::size_t out_n = static_cast<std::size_t>(n * m);
   std::vector<double> got(out_n + 1), want(out_n + 1);
 
@@ -294,13 +295,132 @@ TEST_P(SimdVariantP, MatmulMicroKernelsMatchScalarWithinTolerance) {
   scalar().matmul_tn_rows(at.data() + 1, b.data() + 1, want.data() + 1, 0, n,
                           k, n, m);
   check("matmul_tn");
-  std::fill(got.begin(), got.end(), 0.0);
-  std::fill(want.begin(), want.end(), 0.0);
-  variant().matmul_nt_rows(a.data() + 1, bt.data() + 1, got.data() + 1, 0, n,
-                           k, m);
-  scalar().matmul_nt_rows(a.data() + 1, bt.data() + 1, want.data() + 1, 0, n,
-                          k, m);
-  check("matmul_nt");
+}
+
+// ---- matmul accumulation rule -------------------------------------------
+//
+// The documented per-element rule of the matmul micro-kernels (simd.hpp),
+// recomputed naively. Element (i, j) of a call over rows [i0, i1) is tiled
+// when it sits in a complete row-tile x 8 block counted from i0 and column
+// 0; tiled elements chain the variant's fma from zero in ascending kk,
+// every other element chains the unfused acc + a*b. The row tile and
+// whether fma fuses are per-variant constants, pinned here on purpose.
+
+struct MmRule {
+  std::int64_t row_tile;
+  bool fused;
+};
+
+MmRule mm_rule(Isa isa) {
+  switch (isa) {
+    case Isa::kAvx2: return {4, true};
+    case Isa::kNeon: return {2, true};
+    case Isa::kSse2: return {2, false};
+    case Isa::kScalar: break;
+  }
+  return {4, false};
+}
+
+/// a * b rounded on its own: the volatile store keeps the compiler from
+/// contracting the following add into an FMA.
+template <class T>
+T rounded_product(T a, T b) {
+  volatile T p = a * b;
+  return p;
+}
+
+/// Naive reference over rows [i0, n); a(i, kk) = a[i*k + kk], or
+/// a[kk*n + i] when `tn`.
+template <class T>
+std::vector<T> mm_reference(const MmRule& rule, const std::vector<T>& a,
+                            const std::vector<T>& b, bool tn, std::int64_t i0,
+                            std::int64_t n, std::int64_t k, std::int64_t m) {
+  std::vector<T> o(static_cast<std::size_t>(n * m));
+  const std::int64_t tiled_rows = (n - i0) / rule.row_tile * rule.row_tile;
+  const std::int64_t tiled_cols = m / 8 * 8;
+  for (std::int64_t i = i0; i < n; ++i) {
+    for (std::int64_t j = 0; j < m; ++j) {
+      const bool tiled = i - i0 < tiled_rows && j < tiled_cols;
+      T acc = 0;
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        const T x = a[static_cast<std::size_t>(tn ? kk * n + i : i * k + kk)];
+        const T y = b[static_cast<std::size_t>(kk * m + j)];
+        acc = tiled && rule.fused ? std::fma(x, y, acc)
+                                  : acc + rounded_product(x, y);
+      }
+      o[static_cast<std::size_t>(i * m + j)] = acc;
+    }
+  }
+  return o;
+}
+
+template <class T>
+bool same_bits(T a, T b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+template <class T>
+void expect_mm_rule(const KernelTableT<T>& table, const MmRule& rule,
+                    std::int64_t n, std::int64_t k, std::int64_t m,
+                    std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<T> a(static_cast<std::size_t>(n * k));
+  std::vector<T> b(static_cast<std::size_t>(k * m));
+  for (T& x : a) x = static_cast<T>(2.0 * rng.uniform() - 1.0);
+  for (T& x : b) x = static_cast<T>(2.0 * rng.uniform() - 1.0);
+  // The same values stored [k, n] for the transposed-read entry.
+  std::vector<T> at(a.size());
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      at[static_cast<std::size_t>(kk * n + i)] =
+          a[static_cast<std::size_t>(i * k + kk)];
+    }
+  }
+  const T sentinel = std::numeric_limits<T>::quiet_NaN();
+  for (const std::int64_t i0 : {std::int64_t{0}, std::int64_t{1}}) {
+    if (i0 >= n) continue;
+    const std::vector<T> want = mm_reference(rule, a, b, false, i0, n, k, m);
+    for (const bool tn : {false, true}) {
+      SCOPED_TRACE(std::string(tn ? "matmul_tn_rows" : "matmul_rows") + " " +
+                   std::to_string(n) + "x" + std::to_string(k) + "x" +
+                   std::to_string(m) + " i0=" + std::to_string(i0));
+      // Garbage in the output: every element of [i0, n) must be written,
+      // and rows before i0 must be left alone.
+      std::vector<T> got(want.size(), sentinel);
+      if (tn) {
+        table.matmul_tn_rows(at.data(), b.data(), got.data(), i0, n, k, n, m);
+      } else {
+        table.matmul_rows(a.data(), b.data(), got.data(), i0, n, k, m);
+      }
+      for (std::size_t e = 0; e < got.size(); ++e) {
+        if (static_cast<std::int64_t>(e) < i0 * m) {
+          ASSERT_TRUE(std::isnan(got[e])) << "row before i0 written, " << e;
+          continue;
+        }
+        ASSERT_TRUE(same_bits(got[e], want[e]))
+            << "element " << e << ": " << got[e] << " vs " << want[e];
+      }
+    }
+  }
+}
+
+TEST_P(SimdVariantP, MatmulKernelsFollowTheDocumentedAccumulationRule) {
+  force_isa(GetParam());
+  const MmRule rule = mm_rule(GetParam());
+  struct Dims {
+    std::int64_t n, k, m;
+  };
+  // The step's [900,64]x[64,64] shape; k past the depth block; m = 2 and
+  // n = 2 (all fringe); a 16-column block plus an 8-column tail; k == 0.
+  const Dims cases[] = {{900, 64, 64}, {64, 900, 64}, {9, 1000, 13},
+                        {900, 64, 2},  {2, 64, 64},   {13, 17, 11},
+                        {7, 9, 24},    {31, 5, 40},   {5, 0, 9},
+                        {6, 3, 1}};
+  std::uint64_t seed = 500;
+  for (const Dims& d : cases) {
+    expect_mm_rule(active(), rule, d.n, d.k, d.m, seed++);
+    expect_mm_rule(active_f32(), rule, d.n, d.k, d.m, seed++);
+  }
 }
 
 TEST_P(SimdVariantP, NanAndInfPropagateLikeScalar) {
@@ -492,6 +612,51 @@ TEST(SimdKernels, FusedKernelsMatchTheirCompositionUnderEveryVariant) {
         w_same, kernels::add_scalar(kernels::neg(kernels::square(a)), 1.0));
     for (std::int64_t i = 0; i < a.numel(); ++i) {
       EXPECT_EQ(tg[i], tg_chain[i]) << isa_name(isa);
+    }
+  }
+}
+
+// matmul_tn reads a[k,n] in place; it must equal the composition it
+// replaces in optimized plans — transpose, then matmul — to the last bit,
+// in both precisions, including the pool's row chunking.
+TEST(SimdKernels, MatmulTnEqualsMatmulOfTransposeBitwise) {
+  IsaGuard guard;
+  Rng rng(31);
+  struct Dims {
+    std::int64_t k, n, m;
+  };
+  const Dims cases[] = {{900, 64, 64}, {900, 64, 2}, {450, 64, 64},
+                        {900, 2, 64},  {13, 7, 5},   {64, 64, 64}};
+  for (Isa isa : available_isas()) {
+    ASSERT_TRUE(force_isa(isa));
+    for (const Dims& d : cases) {
+      SCOPED_TRACE(std::string(isa_name(isa)) + " " + std::to_string(d.k) +
+                   "x" + std::to_string(d.n) + "x" + std::to_string(d.m));
+      const Tensor a = Tensor::rand({d.k, d.n}, rng, -1.0, 1.0);
+      const Tensor b = Tensor::rand({d.k, d.m}, rng, -1.0, 1.0);
+      const Tensor tn = kernels::matmul_tn(a, b);
+      const Tensor ref = kernels::matmul(kernels::transpose(a), b);
+      for (std::int64_t i = 0; i < tn.numel(); ++i) {
+        ASSERT_TRUE(bit_equal(tn[i], ref[i])) << "element " << i;
+      }
+
+      std::vector<float> af(static_cast<std::size_t>(a.numel()));
+      std::vector<float> bf(static_cast<std::size_t>(b.numel()));
+      for (std::size_t i = 0; i < af.size(); ++i) {
+        af[i] = static_cast<float>(a.data()[i]);
+      }
+      for (std::size_t i = 0; i < bf.size(); ++i) {
+        bf[i] = static_cast<float>(b.data()[i]);
+      }
+      const auto out_n = static_cast<std::size_t>(d.n * d.m);
+      std::vector<float> tnf(out_n), reff(out_n), atf(af.size());
+      kernels_f32::matmul_tn(af.data(), bf.data(), tnf.data(), d.n, d.k,
+                             d.m);
+      kernels_f32::transpose(af.data(), atf.data(), d.k, d.n);
+      kernels_f32::matmul(atf.data(), bf.data(), reff.data(), d.n, d.k, d.m);
+      for (std::size_t i = 0; i < out_n; ++i) {
+        ASSERT_TRUE(same_bits(tnf[i], reff[i])) << "f32 element " << i;
+      }
     }
   }
 }

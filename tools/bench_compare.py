@@ -146,6 +146,17 @@ def main() -> int:
                     "tdse_plan: common-subexpression elimination merged no "
                     "thunks")
 
+        # Fold gate: every matmul backward in the TDSE plan multiplies by a
+        # transposed activation, so the transpose->matmul fold must rewrite
+        # some of them onto matmul_tn. Exact metric, like the counts above.
+        folded = cur_sum.get("tdse_plan_folded")
+        if folded is not None:
+            print(f"bench_compare: tdse_plan_folded {folded}")
+            if folded <= 0:
+                regressions.append(
+                    "tdse_plan: the transpose->matmul fold rewrote no "
+                    "matmuls")
+
     # Mixed-precision gate: the demoted training-step replay must beat the
     # fp64 replay by >= 1.3x. Both sides are timed back-to-back in the same
     # bench_report run (same machine, same load), so unlike the raw ns/op
