@@ -32,9 +32,10 @@
 // and SIMD variant. Replayed losses/gradients are therefore bit-identical to
 // eager execution, checkpoints resume exactly across modes, and
 // QPINN_GRAPH=off is a pure escape hatch. Anything that breaks the premise —
-// batch shape, thread count, ISA, or buffer identity changes — must
-// invalidate the plan (the trainer keys plans on exactly those inputs and
-// re-captures with a logged fallback). The optimizer passes preserve the
+// batch shape, shard row ranges (threads or dist world), thread count, ISA,
+// or buffer identity changes — must invalidate the plan (the trainer keys
+// each shard's plan on exactly those inputs and re-captures with a logged
+// fallback; a dist rank captures and replays only its own shard). The optimizer passes preserve the
 // contract by construction (see plan_passes.hpp).
 #pragma once
 

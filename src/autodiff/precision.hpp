@@ -29,9 +29,10 @@
 // raw shadow pointers, so no optimizer pass may run after demotion
 // (demote last, after plan::optimize_plan).
 //
-// Eager execution and the elastic dist trainer never see this pass — only
-// captured plans demote, so QPINN_GRAPH=off composes with QPINN_PRECISION
-// by simply running everything fp64.
+// Eager execution never sees this pass — only captured plans demote (a
+// dist rank's shard plan included; its all-reduce buffer stays fp64), so
+// QPINN_GRAPH=off composes with QPINN_PRECISION by simply running
+// everything fp64.
 #pragma once
 
 #include <cstddef>

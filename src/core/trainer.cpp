@@ -118,19 +118,48 @@ Trainer::Trainer(std::shared_ptr<Problem> problem,
       config_.graph == GraphMode::kOn ||
       (config_.graph == GraphMode::kEnv && plan::graph_env_enabled());
   plan_opt_enabled_ = plan::plan_opt_env_enabled();
-  if (config_.dist && config_.dist->world() > 1) {
-    // Dist mode forces eager execution: a captured plan pins one epoch's
-    // sharding, but rank failure (degrade/rejoin) can reshape the step
-    // mid-run. Composing graph replay with dist is a tracked follow-up.
-    graph_enabled_ = false;
-  }
 }
 
-Variable Trainer::shard_loss(
-    const Tensor& shard_points, const Tensor& shard_weights,
-    std::int64_t total_rows, bool include_aux,
-    std::vector<std::pair<std::string, double>>* aux_out,
-    double* aux_weighted_sum, std::vector<AuxBinding>* aux_bindings) {
+bool Trainer::dist_active() const {
+  return config_.dist && config_.dist->world() > 1;
+}
+
+// ---- the step pipeline: partition -> shard stage -> reduction --------------
+//
+// Capture runs the eager shard code with the plan recorder armed, so the
+// captured epoch IS an eager epoch; replay re-reads the same loss/grad/aux
+// buffers that run produced, so every mode yields the same bits.
+
+std::vector<Trainer::RowRange> Trainer::shard_ranges() const {
+  const std::int64_t rows = points_.interior.rows();
+  const bool dist = dist_active();
+  const std::int64_t wanted =
+      dist ? config_.dist->world() : static_cast<std::int64_t>(config_.threads);
+  const std::int64_t parts = std::max<std::int64_t>(1, std::min(wanted, rows));
+  // The same base + extra arithmetic for threads and ranks: this is what
+  // makes an N-rank step bit-identical to a single-process threads = N step.
+  const std::int64_t base = rows / parts;
+  const std::int64_t extra = rows % parts;
+  std::vector<RowRange> ranges;
+  std::int64_t begin = 0;
+  for (std::int64_t s = 0; s < parts; ++s) {
+    const std::int64_t end = begin + base + (s < extra ? 1 : 0);
+    // A dist rank computes only its own shard; a rank past the last shard
+    // computes none.
+    if (!dist || s == config_.dist->rank()) ranges.emplace_back(begin, end);
+    begin = end;
+  }
+  return ranges;
+}
+
+Trainer::LossAndGrads Trainer::eager_shard(const Tensor& shard_points,
+                                           const Tensor& shard_weights,
+                                           bool include_aux,
+                                           ShardPlan* capture) {
+  // Declared first so it disarms last, after the eager graph is destroyed.
+  std::optional<plan::CaptureScope> scope;
+  if (capture != nullptr) scope.emplace(capture->plan);
+
   const Variable X = Variable::leaf(shard_points, /*requires_grad=*/true);
   const Variable residual = problem_->residual(*model_, X);
   QPINN_CHECK_SHAPE(residual.value().rows() == shard_points.rows(),
@@ -143,183 +172,117 @@ Variable Trainer::shard_loss(
       (shard_weights.rank() == 2)
           ? weighted_square_sum(Variable::constant(shard_weights), residual)
           : square_sum(residual);
-  const double denom = static_cast<double>(total_rows) *
+  const double denom = static_cast<double>(points_.interior.rows()) *
                        static_cast<double>(problem_->residual_dim());
   Variable loss = scale(reduced, config_.weight_pde / denom);
 
+  LossAndGrads out;
   if (include_aux) {
     for (LossTerm& term : problem_->auxiliary_losses(*model_, points_)) {
       if (term.weight == 0.0) continue;
       const double value = term.value.item();
-      if (aux_out != nullptr) aux_out->emplace_back(term.name, value);
-      if (aux_weighted_sum != nullptr) {
-        *aux_weighted_sum += term.weight * value;
-      }
-      if (aux_bindings != nullptr) {
-        aux_bindings->push_back({term.name, term.weight, term.value.value()});
+      out.aux.emplace_back(term.name, value);
+      out.aux_weighted += term.weight * value;
+      if (capture != nullptr) {
+        capture->aux.push_back({term.name, term.weight, term.value.value()});
       }
       loss = add(loss, scale(term.value, term.weight));
     }
   }
-  return loss;
+  out.total = loss.item();
+  for (const Variable& g : grad(loss, params_)) out.grads.push_back(g.value());
+  if (capture != nullptr) {
+    capture->loss = loss.value();
+    capture->grads = out.grads;
+    capture->points = shard_points;
+    capture->weights = shard_weights;
+  }
+  return out;
 }
 
-Trainer::LossAndGrads Trainer::compute_serial(std::int64_t epoch) {
-  Tensor weights;  // scalar sentinel = no per-point weights
-  if (config_.curriculum) {
-    weights = per_point_weights(*config_.curriculum, problem_->domain(),
-                                points_.interior, epoch);
+Trainer::LossAndGrads Trainer::run_shard(std::size_t s, RowRange rows,
+                                         const Tensor* weights,
+                                         ShardMode mode) {
+  const auto [r0, r1] = rows;
+  if (mode == ShardMode::kReplay) {
+    // Refresh the pinned slices from the interior set so an in-place
+    // resample (which keeps the tensor's identity, and therefore the plan)
+    // is seen by the shard's thunks.
+    ShardPlan& sp = plans_[s];
+    kernels::slice_rows_into(sp.points, points_.interior, r0, r1);
+    if (weights != nullptr) {
+      kernels::slice_rows_into(sp.weights, *weights, r0, r1);
+    }
+    sp.plan.replay();
+    LossAndGrads out;
+    out.total = sp.loss.item();
+    for (const AuxBinding& b : sp.aux) {
+      const double value = b.value.item();
+      out.aux.emplace_back(b.name, value);
+      out.aux_weighted += b.weight * value;
+    }
+    out.grads = sp.grads;
+    return out;
   }
+  const Tensor shard_points = kernels::slice_rows(points_.interior, r0, r1);
+  Tensor shard_weights;  // scalar sentinel = no per-point weights
+  if (weights != nullptr) {
+    shard_weights = kernels::slice_rows(*weights, r0, r1);
+  }
+  // The shard that opens the interior (shard 0, or dist rank 0) carries the
+  // auxiliary losses.
+  const bool include_aux = r0 == 0;
+  if (mode == ShardMode::kEager) {
+    return eager_shard(shard_points, shard_weights, include_aux, nullptr);
+  }
+  ShardPlan& sp = plans_[s];
+  LossAndGrads out = eager_shard(shard_points, shard_weights, include_aux, &sp);
+  optimize_shard_plan(sp);
+  return out;
+}
+
+Trainer::LossAndGrads Trainer::reduce(std::vector<LossAndGrads> shards,
+                                      std::int64_t epoch) {
+  // Deterministic shard-order reduction; the named aux values live on the
+  // first shard.
   LossAndGrads result;
-  double aux_weighted_sum = 0.0;
-  const Variable loss =
-      shard_loss(points_.interior, weights, points_.interior.rows(),
-                 /*include_aux=*/true, &result.aux, &aux_weighted_sum);
-  result.total = loss.item();
-  result.pde = result.total - aux_weighted_sum;
-
-  const std::vector<Variable> grads = grad(loss, params_);
-  result.grads.reserve(grads.size());
-  for (const Variable& g : grads) result.grads.push_back(g.value());
-  return result;
-}
-
-Trainer::LossAndGrads Trainer::compute_parallel(std::int64_t epoch) {
-  const std::int64_t total_rows = points_.interior.rows();
-  const std::size_t shards =
-      std::min<std::size_t>(config_.threads,
-                            static_cast<std::size_t>(total_rows));
-
-  Tensor weights;
-  if (config_.curriculum) {
-    weights = per_point_weights(*config_.curriculum, problem_->domain(),
-                                points_.interior, epoch);
-  }
-
-  struct ShardOutput {
-    double loss = 0.0;
-    double aux_weighted_sum = 0.0;
-    std::vector<std::pair<std::string, double>> aux;
-    std::vector<Tensor> grads;
-  };
-  std::vector<ShardOutput> outputs(shards);
-
-  const std::int64_t base = total_rows / static_cast<std::int64_t>(shards);
-  const std::int64_t extra = total_rows % static_cast<std::int64_t>(shards);
-  std::vector<std::pair<std::int64_t, std::int64_t>> ranges(shards);
-  std::int64_t begin = 0;
-  for (std::size_t s = 0; s < shards; ++s) {
-    const std::int64_t len =
-        base + (static_cast<std::int64_t>(s) < extra ? 1 : 0);
-    ranges[s] = {begin, begin + len};
-    begin += len;
-  }
-
-  global_pool().for_each_index(shards, [&](std::size_t s) {
-    const auto [r0, r1] = ranges[s];
-    const Tensor shard_points = kernels::slice_rows(points_.interior, r0, r1);
-    Tensor shard_weights;
-    if (weights.rank() == 2) {
-      shard_weights = kernels::slice_rows(weights, r0, r1);
-    }
-    ShardOutput& out = outputs[s];
-    const Variable loss = shard_loss(
-        shard_points, shard_weights, total_rows,
-        /*include_aux=*/s == 0, s == 0 ? &out.aux : nullptr,
-        s == 0 ? &out.aux_weighted_sum : nullptr);
-    out.loss = loss.item();
-    const std::vector<Variable> grads = grad(loss, params_);
-    out.grads.reserve(grads.size());
-    for (const Variable& g : grads) out.grads.push_back(g.value());
-  });
-
-  // Deterministic shard-order reduction.
-  LossAndGrads result;
-  result.aux = std::move(outputs[0].aux);
-  result.grads = std::move(outputs[0].grads);
-  result.total = outputs[0].loss;
-  for (std::size_t s = 1; s < shards; ++s) {
-    result.total += outputs[s].loss;
-    for (std::size_t p = 0; p < result.grads.size(); ++p) {
-      kernels::axpy_inplace(result.grads[p], 1.0, outputs[s].grads[p]);
-    }
-  }
-  result.pde = result.total - outputs[0].aux_weighted_sum;
-  return result;
-}
-
-Trainer::LossAndGrads Trainer::compute_dist(std::int64_t epoch) {
-  dist::Communicator& comm = *config_.dist;
-  const std::int64_t rank = comm.rank();
-  const std::int64_t total_rows = points_.interior.rows();
-  const std::int64_t shards = std::min(comm.world(), total_rows);
-
-  Tensor weights;
-  if (config_.curriculum) {
-    weights = per_point_weights(*config_.curriculum, problem_->domain(),
-                                points_.interior, epoch);
-  }
-
-  // One contiguous shard per rank, with the same base + extra arithmetic
-  // as compute_parallel — this is what makes an N-rank step bit-identical
-  // to a single-process step with threads = N.
-  const std::int64_t base = total_rows / shards;
-  const std::int64_t extra = total_rows % shards;
-  std::int64_t r0 = 0;
-  std::int64_t r1 = 0;
-  if (rank < shards) {
-    r0 = rank * base + std::min(rank, extra);
-    r1 = r0 + base + (rank < extra ? 1 : 0);
-  }
-
-  LossAndGrads local;
-  double aux_weighted_sum = 0.0;
-  if (r1 > r0) {
-    const Tensor shard_points = kernels::slice_rows(points_.interior, r0, r1);
-    Tensor shard_weights;
-    if (weights.rank() == 2) {
-      shard_weights = kernels::slice_rows(weights, r0, r1);
-    }
-    const Variable loss = shard_loss(
-        shard_points, shard_weights, total_rows,
-        /*include_aux=*/rank == 0, rank == 0 ? &local.aux : nullptr,
-        rank == 0 ? &aux_weighted_sum : nullptr);
-    local.total = loss.item();
-    const std::vector<Variable> grads = grad(loss, params_);
-    local.grads.reserve(grads.size());
-    for (const Variable& g : grads) local.grads.push_back(g.value());
-  } else {
-    // More ranks than interior rows: contribute exact zeros.
-    local.grads.reserve(params_.size());
+  if (shards.empty()) {
+    // A dist rank with no interior rows contributes exact zeros.
     for (const Variable& p : params_) {
-      local.grads.push_back(Tensor::zeros(p.value().shape()));
+      result.grads.push_back(Tensor::zeros(p.value().shape()));
+    }
+  } else {
+    result = std::move(shards[0]);
+    for (std::size_t s = 1; s < shards.size(); ++s) {
+      result.total += shards[s].total;
+      for (std::size_t p = 0; p < result.grads.size(); ++p) {
+        kernels::axpy_inplace(result.grads[p], 1.0, shards[s].grads[p]);
+      }
     }
   }
+  if (!dist_active()) return result;
 
   // Reduction buffer: [loss, weighted aux sum, stop flag, grads...]. The
   // stop flag rides the same all-reduce so every rank observes the same
   // sum and stops at the same epoch.
   std::size_t numel = 0;
-  for (const Tensor& g : local.grads) {
+  for (const Tensor& g : result.grads) {
     numel += static_cast<std::size_t>(g.numel());
   }
   std::vector<double> buffer;
   buffer.reserve(3 + numel);
-  buffer.push_back(local.total);
-  buffer.push_back(aux_weighted_sum);
+  buffer.push_back(result.total);
+  buffer.push_back(result.aux_weighted);
   buffer.push_back(stop_requested() ? 1.0 : 0.0);
-  for (const Tensor& g : local.grads) {
+  for (const Tensor& g : result.grads) {
     buffer.insert(buffer.end(), g.data(), g.data() + g.numel());
   }
 
-  comm.allreduce(buffer, epoch);
+  config_.dist->allreduce(buffer, epoch);
 
-  LossAndGrads result;
-  result.aux = std::move(local.aux);  // named aux values live on rank 0
   result.total = buffer[0];
-  result.pde = buffer[0] - buffer[1];
+  result.aux_weighted = buffer[1];
   dist_stop_sum_ = buffer[2];
-  result.grads = std::move(local.grads);
   std::size_t offset = 3;
   for (Tensor& g : result.grads) {
     const std::size_t count = static_cast<std::size_t>(g.numel());
@@ -331,25 +294,62 @@ Trainer::LossAndGrads Trainer::compute_dist(std::int64_t epoch) {
   return result;
 }
 
-Trainer::PlanKey Trainer::current_plan_key() const {
+Trainer::LossAndGrads Trainer::compute(std::int64_t epoch) {
+  const std::vector<RowRange> ranges = shard_ranges();
+  // Not a default Tensor: that would take pool storage on every replay.
+  std::optional<Tensor> weights;
+  if (config_.curriculum) {
+    weights = per_point_weights(*config_.curriculum, problem_->domain(),
+                                points_.interior, epoch);
+  }
+
+  ShardMode mode = ShardMode::kEager;
+  if (graph_enabled_) {
+    const PlanKey key = current_plan_key(ranges);
+    if (plans_ready_ && !(key == plan_key_)) {
+      plans_ready_ = false;
+      plan::count_fallback();
+      log::info() << problem_->name()
+                  << " execution plan invalidated (batch-shape/shard/thread/"
+                     "ISA change); re-capturing";
+    }
+    mode = plans_ready_ ? ShardMode::kReplay : ShardMode::kCapture;
+    if (mode == ShardMode::kCapture) {
+      plans_.clear();
+      plans_.resize(ranges.size());
+      plan_key_ = key;
+    }
+  }
+
+  const Tensor* full_weights = weights ? &*weights : nullptr;
+  std::vector<LossAndGrads> shards(ranges.size());
+  try {
+    global_pool().for_each_index(ranges.size(), [&](std::size_t s) {
+      shards[s] = run_shard(s, ranges[s], full_weights, mode);
+    });
+  } catch (...) {
+    // A failed capture (e.g. non-finite loss mid-step) leaves a partial
+    // plan behind; discard it so the next step re-captures cleanly.
+    if (mode == ShardMode::kCapture) plans_.clear();
+    throw;
+  }
+  if (mode == ShardMode::kCapture) plans_ready_ = true;
+  return reduce(std::move(shards), epoch);
+}
+
+Trainer::PlanKey Trainer::current_plan_key(
+    const std::vector<RowRange>& shards) const {
   PlanKey key;
   key.interior_data = points_.interior.data();
   key.interior_generation = interior_generation_;
   key.interior_shape = points_.interior.shape();
+  key.shards = shards;
   key.pool_threads = global_pool().size();
   key.isa = simd::active_isa();
   key.curriculum = config_.curriculum.has_value();
   key.precision = precision_mode();
   return key;
 }
-
-// ---- graph capture & replay (autodiff/plan.hpp) ---------------------------
-//
-// Capture runs the ordinary eager step with the thread-local recorder armed,
-// so the captured epoch IS an eager epoch; replay re-executes the recorded
-// kernel sequence against the pinned buffers and re-reads loss/grad/aux
-// buffers on the host side, in the same order as the eager reduction —
-// every replayed epoch is bit-identical to what eager would have computed.
 
 void Trainer::optimize_shard_plan(ShardPlan& sp) {
   std::vector<Tensor> outputs;
@@ -387,210 +387,6 @@ std::vector<plan::PassStats> Trainer::plan_pass_stats() const {
   return stats;
 }
 
-Trainer::LossAndGrads Trainer::capture_serial(std::int64_t epoch) {
-  plans_.clear();
-  plans_.resize(1);
-  ShardPlan& sp = plans_[0];
-  Tensor weights;
-  if (config_.curriculum) {
-    weights = per_point_weights(*config_.curriculum, problem_->domain(),
-                                points_.interior, epoch);
-  }
-  LossAndGrads result;
-  double aux_weighted_sum = 0.0;
-  {
-    plan::CaptureScope scope(sp.plan);
-    const Variable loss =
-        shard_loss(points_.interior, weights, points_.interior.rows(),
-                   /*include_aux=*/true, &result.aux, &aux_weighted_sum,
-                   &sp.aux);
-    result.total = loss.item();
-    result.pde = result.total - aux_weighted_sum;
-    const std::vector<Variable> grads = grad(loss, params_);
-    result.grads.reserve(grads.size());
-    for (const Variable& g : grads) result.grads.push_back(g.value());
-    sp.loss = loss.value();
-    sp.grads = result.grads;
-  }
-  sp.weights = weights;
-  sp.r0 = 0;
-  sp.r1 = points_.interior.rows();
-  optimize_shard_plan(sp);
-  return result;
-}
-
-Trainer::LossAndGrads Trainer::replay_serial(std::int64_t epoch) {
-  ShardPlan& sp = plans_[0];
-  if (config_.curriculum) {
-    const Tensor w = per_point_weights(*config_.curriculum, problem_->domain(),
-                                       points_.interior, epoch);
-    kernels::copy_into(sp.weights, w);
-  }
-  sp.plan.replay();
-  LossAndGrads result;
-  result.total = sp.loss.item();
-  double aux_weighted_sum = 0.0;
-  for (const AuxBinding& b : sp.aux) {
-    const double value = b.value.item();
-    result.aux.emplace_back(b.name, value);
-    aux_weighted_sum += b.weight * value;
-  }
-  result.pde = result.total - aux_weighted_sum;
-  result.grads = sp.grads;
-  return result;
-}
-
-Trainer::LossAndGrads Trainer::capture_parallel(std::int64_t epoch) {
-  const std::int64_t total_rows = points_.interior.rows();
-  const std::size_t shards =
-      std::min<std::size_t>(config_.threads,
-                            static_cast<std::size_t>(total_rows));
-
-  Tensor weights;
-  if (config_.curriculum) {
-    weights = per_point_weights(*config_.curriculum, problem_->domain(),
-                                points_.interior, epoch);
-  }
-
-  struct ShardOutput {
-    double loss = 0.0;
-    double aux_weighted_sum = 0.0;
-    std::vector<std::pair<std::string, double>> aux;
-    std::vector<Tensor> grads;
-  };
-  std::vector<ShardOutput> outputs(shards);
-  plans_.clear();
-  plans_.resize(shards);
-
-  const std::int64_t base = total_rows / static_cast<std::int64_t>(shards);
-  const std::int64_t extra = total_rows % static_cast<std::int64_t>(shards);
-  std::vector<std::pair<std::int64_t, std::int64_t>> ranges(shards);
-  std::int64_t begin = 0;
-  for (std::size_t s = 0; s < shards; ++s) {
-    const std::int64_t len =
-        base + (static_cast<std::int64_t>(s) < extra ? 1 : 0);
-    ranges[s] = {begin, begin + len};
-    begin += len;
-  }
-
-  global_pool().for_each_index(shards, [&](std::size_t s) {
-    const auto [r0, r1] = ranges[s];
-    const Tensor shard_points = kernels::slice_rows(points_.interior, r0, r1);
-    Tensor shard_weights;
-    if (weights.rank() == 2) {
-      shard_weights = kernels::slice_rows(weights, r0, r1);
-    }
-    ShardOutput& out = outputs[s];
-    ShardPlan& sp = plans_[s];
-    {
-      plan::CaptureScope scope(sp.plan);
-      const Variable loss = shard_loss(
-          shard_points, shard_weights, total_rows,
-          /*include_aux=*/s == 0, s == 0 ? &out.aux : nullptr,
-          s == 0 ? &out.aux_weighted_sum : nullptr,
-          s == 0 ? &sp.aux : nullptr);
-      out.loss = loss.item();
-      const std::vector<Variable> grads = grad(loss, params_);
-      out.grads.reserve(grads.size());
-      for (const Variable& g : grads) out.grads.push_back(g.value());
-      sp.loss = loss.value();
-      sp.grads = out.grads;
-    }
-    sp.points = shard_points;
-    sp.weights = shard_weights;
-    sp.r0 = r0;
-    sp.r1 = r1;
-    optimize_shard_plan(sp);
-  });
-
-  // Deterministic shard-order reduction.
-  LossAndGrads result;
-  result.aux = std::move(outputs[0].aux);
-  result.grads = std::move(outputs[0].grads);
-  result.total = outputs[0].loss;
-  for (std::size_t s = 1; s < shards; ++s) {
-    result.total += outputs[s].loss;
-    for (std::size_t p = 0; p < result.grads.size(); ++p) {
-      kernels::axpy_inplace(result.grads[p], 1.0, outputs[s].grads[p]);
-    }
-  }
-  result.pde = result.total - outputs[0].aux_weighted_sum;
-  return result;
-}
-
-Trainer::LossAndGrads Trainer::replay_parallel(std::int64_t epoch) {
-  const std::size_t shards = plans_.size();
-  // The shard point slices were materialized at capture; refresh them from
-  // the interior set so an in-place resample (which keeps the tensor's
-  // identity, and therefore the plan) is seen by every shard's thunks.
-  for (ShardPlan& sp : plans_) {
-    kernels::slice_rows_into(sp.points, points_.interior, sp.r0, sp.r1);
-  }
-  if (config_.curriculum) {
-    const Tensor w = per_point_weights(*config_.curriculum, problem_->domain(),
-                                       points_.interior, epoch);
-    for (ShardPlan& sp : plans_) {
-      if (sp.weights.rank() == 2) {
-        kernels::slice_rows_into(sp.weights, w, sp.r0, sp.r1);
-      }
-    }
-  }
-  global_pool().for_each_index(shards,
-                               [&](std::size_t s) { plans_[s].plan.replay(); });
-
-  // Same shard-order reduction (and buffers) as the captured eager step.
-  LossAndGrads result;
-  result.grads = plans_[0].grads;
-  result.total = plans_[0].loss.item();
-  for (std::size_t s = 1; s < shards; ++s) {
-    result.total += plans_[s].loss.item();
-    for (std::size_t p = 0; p < result.grads.size(); ++p) {
-      kernels::axpy_inplace(result.grads[p], 1.0, plans_[s].grads[p]);
-    }
-  }
-  double aux_weighted_sum = 0.0;
-  for (const AuxBinding& b : plans_[0].aux) {
-    const double value = b.value.item();
-    result.aux.emplace_back(b.name, value);
-    aux_weighted_sum += b.weight * value;
-  }
-  result.pde = result.total - aux_weighted_sum;
-  return result;
-}
-
-Trainer::LossAndGrads Trainer::compute(std::int64_t epoch) {
-  if (config_.dist && config_.dist->world() > 1) return compute_dist(epoch);
-  if (!graph_enabled_) {
-    return (config_.threads > 1) ? compute_parallel(epoch)
-                                 : compute_serial(epoch);
-  }
-  const PlanKey key = current_plan_key();
-  if (plans_ready_ && !(key == plan_key_)) {
-    plans_.clear();
-    plans_ready_ = false;
-    plan::count_fallback();
-    log::info() << problem_->name()
-                << " execution plan invalidated (batch-shape/thread/ISA "
-                   "change); re-capturing";
-  }
-  if (!plans_ready_) {
-    LossAndGrads result;
-    try {
-      result = (config_.threads > 1) ? capture_parallel(epoch)
-                                     : capture_serial(epoch);
-    } catch (...) {
-      // A failed capture (e.g. non-finite loss mid-step) leaves a partial
-      // plan behind; discard it so the next step re-captures cleanly.
-      plans_.clear();
-      throw;
-    }
-    plan_key_ = key;
-    plans_ready_ = true;
-    return result;
-  }
-  return (config_.threads > 1) ? replay_parallel(epoch) : replay_serial(epoch);
-}
-
 EpochRecord Trainer::step(std::int64_t epoch) {
   if (config_.dist) {
     dist::maybe_fault_kill(config_.dist->rank(), epoch);
@@ -618,6 +414,7 @@ EpochRecord Trainer::step(std::int64_t epoch) {
   }
 
   LossAndGrads lg = compute(epoch);
+  const double pde = lg.total - lg.aux_weighted;
   if (fault_fires(kFaultTrainerNanLoss)) {
     lg.total = std::numeric_limits<double>::quiet_NaN();
   }
@@ -645,7 +442,7 @@ EpochRecord Trainer::step(std::int64_t epoch) {
   EpochRecord record;
   record.epoch = epoch;
   record.total_loss = lg.total;
-  record.pde_loss = lg.pde;
+  record.pde_loss = pde;
   record.aux_losses = std::move(lg.aux);
   record.lr = lr;
   record.grad_norm = grad_norm;
@@ -745,9 +542,6 @@ std::int64_t Trainer::apply_dist_sync(const std::string& payload) {
 TrainResult Trainer::fit() {
   Stopwatch watch;
   TrainResult result;
-  const auto dist_active = [&]() {
-    return config_.dist && config_.dist->world() > 1;
-  };
 
   std::int64_t start_epoch = 0;
   if (!config_.resume_from.empty()) {
@@ -1006,16 +800,10 @@ optim::LbfgsResult Trainer::run_second_stage(std::int64_t epoch) {
                                 points_.interior, epoch);
   }
   const optim::LossClosure closure = [&]() {
-    std::vector<std::pair<std::string, double>> aux;
-    double aux_weighted_sum = 0.0;
-    const Variable loss =
-        shard_loss(points_.interior, weights, points_.interior.rows(),
-                   /*include_aux=*/true, &aux, &aux_weighted_sum);
-    const std::vector<Variable> grads = grad(loss, params_);
-    std::vector<Tensor> grad_values;
-    grad_values.reserve(grads.size());
-    for (const Variable& g : grads) grad_values.push_back(g.value());
-    return std::make_pair(loss.item(), std::move(grad_values));
+    // One full-range shard on the interior itself: no slice copy.
+    LossAndGrads out = eager_shard(points_.interior, weights,
+                                   /*include_aux=*/true, nullptr);
+    return std::make_pair(out.total, std::move(out.grads));
   };
   return optim::lbfgs_minimize(params_, closure, config_.second_stage.lbfgs);
 }

@@ -1,11 +1,16 @@
 // The PINN training loop.
 //
-// Serial and data-parallel paths compute the *same* loss decomposition:
-// the interior residual MSE is split into contiguous row shards, each
-// worker builds its own forward/backward graph against the shared
-// parameter leaves, and the per-shard gradients are reduced in shard order
-// (deterministic). This mirrors the batch-parallel GPU training of the
-// original system on a shared-memory thread pool.
+// Every step runs one pipeline: partition -> shard stage -> reduction. The
+// interior residual MSE is split into contiguous row shards (one when
+// serial, `threads` in process, or this rank's shard of `world` in dist
+// mode); each shard builds its own forward/backward graph against the
+// shared parameter leaves — eagerly, or by capturing that eager run into
+// an execution plan and replaying it — and the per-shard gradients are
+// reduced in shard order, then in rank order across dist ranks
+// (deterministic). In fp64, every partition and every mode give the same
+// bits as the matching threads = N eager run. This mirrors the
+// batch-parallel GPU training of the original system on a shared-memory
+// thread pool.
 //
 // The loop is fault-tolerant: optional crash-consistent checkpoints with
 // resume (TrainConfig::checkpoint / resume_from), automatic rollback + LR
@@ -111,16 +116,17 @@ struct TrainConfig {
   /// after every epoch, same semantics as Trainer::request_stop().
   const std::atomic<bool>* stop_flag = nullptr;
   /// Capture the training step into an execution plan on the first epoch
-  /// and replay it afterwards (autodiff/plan.hpp). Replay is bit-identical
-  /// to eager execution, so this is purely a performance choice.
+  /// and replay it afterwards (autodiff/plan.hpp), in process and in dist
+  /// mode alike. Replay is bit-identical to eager execution, so this is
+  /// purely a performance choice.
   GraphMode graph = GraphMode::kEnv;
   /// Multi-process data-parallel training (dist/communicator.hpp): each
   /// rank computes one contiguous interior shard — the same partition
   /// arithmetic as `threads` sharding — and gradients are all-reduced in
   /// rank order, so an N-rank run is bit-identical to a single-process
-  /// run with threads = N. Dist mode forces eager execution (a captured
-  /// plan would pin a sharding that rank failure can reshape mid-run) and
-  /// is mutually exclusive with threads > 1. Only rank 0 writes
+  /// run with threads = N. With `graph` on, each rank captures and replays
+  /// its own shard; a degrade that reshapes the shards re-captures.
+  /// Mutually exclusive with threads > 1. Only rank 0 writes
   /// checkpoints; `resume_from` plus Communicator::rejoined() drives the
   /// elastic-rejoin path. Null: single-process training.
   std::shared_ptr<dist::Communicator> dist;
@@ -222,17 +228,19 @@ class Trainer {
   }
 
  private:
-  /// Loss + parameter gradients for the current epoch.
+  /// Interior row range [begin, end) of one shard.
+  using RowRange = std::pair<std::int64_t, std::int64_t>;
+
+  /// Loss + parameter gradients of one shard, or of the whole step after
+  /// the reduction.
   struct LossAndGrads {
     double total = 0.0;
-    double pde = 0.0;
-    std::vector<std::pair<std::string, double>> aux;
+    /// Weighted sum of the auxiliary terms: the PDE component of the loss
+    /// is total - aux_weighted.
+    double aux_weighted = 0.0;
+    std::vector<std::pair<std::string, double>> aux;  ///< unweighted values
     std::vector<Tensor> grads;
   };
-  LossAndGrads compute(std::int64_t epoch);
-  LossAndGrads compute_serial(std::int64_t epoch);
-  LossAndGrads compute_parallel(std::int64_t epoch);
-  LossAndGrads compute_dist(std::int64_t epoch);
 
   /// An auxiliary loss term pinned by a captured plan: replay recomputes
   /// `value` in place, and the host loop re-reads it per epoch.
@@ -242,32 +250,51 @@ class Trainer {
     Tensor value;
   };
 
-  /// Shard-local weighted residual sum: sum(w * r^2) / (N_total * R),
-  /// plus (on shard 0) the auxiliary losses. When aux terms are included,
-  /// `aux_out` receives their unweighted values and `aux_weighted_sum`
-  /// their weighted total (so the PDE component can be recovered without
-  /// re-evaluating the losses); `aux_bindings` (when non-null) receives the
-  /// scalar tensors themselves for plan replay.
-  autodiff::Variable shard_loss(const Tensor& shard_points,
-                                const Tensor& shard_weights,
-                                std::int64_t total_rows, bool include_aux,
-                                std::vector<std::pair<std::string, double>>*
-                                    aux_out,
-                                double* aux_weighted_sum,
-                                std::vector<AuxBinding>* aux_bindings =
-                                    nullptr);
-
   /// One shard's captured step: the plan plus the buffers the host loop
-  /// reads (loss, grads, aux) or refreshes (curriculum weights) per replay.
+  /// reads (loss, grads, aux) or refreshes (points, curriculum weights) per
+  /// replay.
   struct ShardPlan {
     autodiff::plan::ExecutionPlan plan;
     Tensor loss;
     std::vector<Tensor> grads;
-    Tensor points;   ///< pinned shard slice of the interior set (parallel)
+    Tensor points;   ///< pinned slice of the interior set
     Tensor weights;  ///< pinned shard weights (undefined without curriculum)
-    std::int64_t r0 = 0, r1 = 0;  ///< interior row range of this shard
-    std::vector<AuxBinding> aux;  ///< shard 0 only
+    std::vector<AuxBinding> aux;  ///< first shard only
   };
+
+  /// How the shard stage computes a shard this step.
+  enum class ShardMode { kEager, kCapture, kReplay };
+
+  /// True when the interior is sharded across dist ranks (world > 1).
+  bool dist_active() const;
+
+  /// Partition: the interior row ranges this process computes. In process,
+  /// min(threads, rows) contiguous ranges; in dist mode, this rank's range
+  /// out of min(world, rows), or none when the rank has no rows.
+  std::vector<RowRange> shard_ranges() const;
+
+  /// One step: partition -> shard stage (one run_shard per range on the
+  /// global pool) -> reduce.
+  LossAndGrads compute(std::int64_t epoch);
+
+  /// Shard stage for shard `s`: eager, capture into plans_[s], or replay of
+  /// plans_[s] after refreshing its pinned slices. `weights` are the
+  /// full-interior curriculum weights (null without curriculum).
+  LossAndGrads run_shard(std::size_t s, RowRange rows, const Tensor* weights,
+                         ShardMode mode);
+
+  /// The eager loss + gradient body: sum(w * r^2) / (N_total * R) over the
+  /// shard, plus the auxiliary losses when `include_aux`, then the
+  /// parameter gradients. With `capture` set it runs inside a CaptureScope
+  /// on capture->plan and pins the buffers replay reads back.
+  LossAndGrads eager_shard(const Tensor& shard_points,
+                           const Tensor& shard_weights, bool include_aux,
+                           ShardPlan* capture);
+
+  /// Reduction: sums the shards in shard order (exact zeros for none),
+  /// then in dist mode all-reduces [loss, aux_weighted, stop, grads...] in
+  /// rank order.
+  LossAndGrads reduce(std::vector<LossAndGrads> shards, std::int64_t epoch);
 
   /// Everything a captured plan depends on besides buffer contents; any
   /// change means the recorded kernel sequence (or its chunking) would
@@ -281,6 +308,9 @@ class Trainer {
     /// plan.
     std::uint64_t interior_generation = 0;
     Shape interior_shape;
+    /// The local shard ranges: a dist degrade that changes the world
+    /// changes them, and so re-captures.
+    std::vector<RowRange> shards;
     std::size_t pool_threads = 0;
     simd::Isa isa = simd::Isa::kScalar;
     bool curriculum = false;
@@ -289,21 +319,17 @@ class Trainer {
     autodiff::Precision precision = autodiff::Precision::kFp64;
     bool operator==(const PlanKey&) const = default;
   };
-  PlanKey current_plan_key() const;
+  PlanKey current_plan_key(const std::vector<RowRange>& shards) const;
 
-  LossAndGrads capture_serial(std::int64_t epoch);
-  LossAndGrads capture_parallel(std::int64_t epoch);
   /// Finalizes one shard's capture: runs the optimizer passes
   /// (autodiff/plan_passes.hpp) when QPINN_PLAN_OPT is on, then the
   /// mixed-precision demotion pass (autodiff/precision.hpp) when
   /// QPINN_PRECISION=mixed — demotion must be last, a demoted plan is
   /// terminal. The host-read buffers (loss, grads, aux) are declared as
-  /// plan outputs for both. Called after the CaptureScope block, once the
+  /// plan outputs for both. Called after the CaptureScope closes, once the
   /// eager Variable graph is destroyed; thread-safe (per-shard state
   /// only).
   void optimize_shard_plan(ShardPlan& sp);
-  LossAndGrads replay_serial(std::int64_t epoch);
-  LossAndGrads replay_parallel(std::int64_t epoch);
 
   /// In-memory rollback point for divergence recovery.
   struct Snapshot {

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 namespace qpinn::optim {
 
@@ -29,28 +28,6 @@ class ExponentialDecay : public LrSchedule {
  private:
   double factor_;
   std::int64_t every_;
-};
-
-/// Cosine annealing from base_lr to min_lr over t_max epochs.
-class CosineAnnealing : public LrSchedule {
- public:
-  CosineAnnealing(std::int64_t t_max, double min_lr = 0.0);
-  double lr_at(std::int64_t epoch, double base_lr) const override;
-
- private:
-  std::int64_t t_max_;
-  double min_lr_;
-};
-
-/// Linear warmup over `warmup` epochs wrapping another schedule.
-class Warmup : public LrSchedule {
- public:
-  Warmup(std::int64_t warmup, std::shared_ptr<const LrSchedule> inner);
-  double lr_at(std::int64_t epoch, double base_lr) const override;
-
- private:
-  std::int64_t warmup_;
-  std::shared_ptr<const LrSchedule> inner_;
 };
 
 }  // namespace qpinn::optim

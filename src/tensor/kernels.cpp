@@ -926,19 +926,6 @@ void scale_inplace(Tensor& dst, double s) {
   });
 }
 
-void axpby_inplace(Tensor& dst, double a, double b, const Tensor& src) {
-  QPINN_KERNEL_VALIDATE(dst, "kernels.axpby_inplace");
-  QPINN_KERNEL_VALIDATE(src, "kernels.axpby_inplace");
-  QPINN_CHECK_SHAPE(dst.same_shape(src), "axpby_inplace shape mismatch");
-  double* pd = dst.data();
-  const double* ps = src.data();
-  const std::size_t n = static_cast<std::size_t>(dst.numel());
-  auto* fn = simd::active().axpby;
-  parallel_for(n, [&](std::size_t begin, std::size_t end) {
-    fn(pd + begin, a, b, ps + begin, end - begin);
-  });
-}
-
 void copy_into(Tensor& dst, const Tensor& src) {
   QPINN_KERNEL_VALIDATE(dst, "kernels.copy_into");
   QPINN_KERNEL_VALIDATE(src, "kernels.copy_into");

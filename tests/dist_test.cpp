@@ -19,12 +19,15 @@
 #include <thread>
 #include <vector>
 
+#include "autodiff/plan.hpp"
+#include "autodiff/precision.hpp"
 #include "core/benchmarks.hpp"
 #include "core/trainer.hpp"
 #include "dist/communicator.hpp"
 #include "dist/launcher.hpp"
 #include "dist/transport.hpp"
 #include "parallel/thread_pool.hpp"
+#include "tensor/kernels.hpp"
 #include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -36,6 +39,13 @@ namespace {
 constexpr char kEnvCkptDir[] = "QPINN_DIST_TEST_CKPT";
 constexpr char kEnvEpochs[] = "QPINN_DIST_TEST_EPOCHS";
 constexpr char kEnvResample[] = "QPINN_DIST_TEST_RESAMPLE";
+/// Nonzero: the job captures and replays its step (GraphMode::kOn).
+constexpr char kEnvGraph[] = "QPINN_DIST_TEST_GRAPH";
+
+core::GraphMode graph_mode_from_env() {
+  return env_int(kEnvGraph, 0) != 0 ? core::GraphMode::kOn
+                                    : core::GraphMode::kOff;
+}
 
 /// Tiny job used by every dist test. The interior is 8x8 = 64 rows so all
 /// kernel working sets stay below the parallel grain — with one pool
@@ -51,7 +61,9 @@ core::TrainConfig dist_tiny_config(std::int64_t epochs,
   config.metric_nx = 16;
   config.metric_nt = 8;
   config.resample_every = resample_every;
-  config.graph = core::GraphMode::kOff;  // dist forces eager; match it
+  // Eager unless a test opts into capture: kOff results hold under any
+  // QPINN_GRAPH/QPINN_PRECISION the suite inherits.
+  config.graph = core::GraphMode::kOff;
   return config;
 }
 
@@ -94,18 +106,81 @@ struct FaultGuard {
   ~FaultGuard() { FaultInjector::instance().clear(); }
 };
 
+/// Pins fp64 plan replay (in this process) for a test that compares
+/// captured runs bit for bit; restores the previous mode on exit.
+class Fp64Guard {
+ public:
+  Fp64Guard() : saved_(autodiff::precision_mode()) {
+    autodiff::set_precision_mode(autodiff::Precision::kFp64);
+  }
+  ~Fp64Guard() { autodiff::set_precision_mode(saved_); }
+
+ private:
+  autodiff::Precision saved_;
+};
+
+/// Cuts a freshly built trainer's interior down to its first `rows` rows
+/// (0: keep the sampled set).
+void shrink_interior(core::Trainer& trainer, std::int64_t rows) {
+  if (rows > 0) {
+    trainer.replace_interior(
+        kernels::slice_rows(trainer.collocation().interior, 0, rows));
+  }
+}
+
 /// Reference run: single process, `threads` interior shards, pool size 1.
 std::vector<Tensor> run_single_process(std::size_t threads,
-                                       std::int64_t epochs,
-                                       std::int64_t resample_every) {
+                                       core::TrainConfig config,
+                                       std::int64_t interior_rows = 0) {
   set_global_threads(1);
   auto problem = core::make_free_packet_problem();
   auto model = dist_tiny_model(*problem);
-  core::TrainConfig config = dist_tiny_config(epochs, resample_every);
   config.threads = threads;
   core::Trainer trainer(problem, model, config);
+  shrink_interior(trainer, interior_rows);
   trainer.fit();
   return snapshot_params(*model);
+}
+
+/// Trains `world` loopback ranks of the tiny job in this process, one
+/// thread per rank, and returns every rank's final parameters.
+std::vector<std::vector<Tensor>> run_loopback_ranks(
+    std::int64_t world, const core::TrainConfig& base,
+    std::int64_t interior_rows = 0) {
+  set_global_threads(1);
+  auto comms = dist::Communicator::loopback(world);
+  std::vector<std::shared_ptr<core::FieldModel>> models;
+  std::vector<std::unique_ptr<core::Trainer>> trainers;
+  for (std::int64_t r = 0; r < world; ++r) {
+    auto problem = core::make_free_packet_problem();
+    auto model = dist_tiny_model(*problem);
+    core::TrainConfig config = base;
+    config.dist = comms[static_cast<std::size_t>(r)];
+    trainers.push_back(
+        std::make_unique<core::Trainer>(problem, model, config));
+    shrink_interior(*trainers.back(), interior_rows);
+    models.push_back(model);
+  }
+  std::vector<std::exception_ptr> errors(trainers.size());
+  const auto fit_rank = [&](std::size_t r) {
+    try {
+      trainers[r]->fit();
+    } catch (...) {
+      errors[r] = std::current_exception();
+    }
+  };
+  std::vector<std::thread> workers;
+  for (std::size_t r = 1; r < trainers.size(); ++r) {
+    workers.emplace_back(fit_rank, r);
+  }
+  fit_rank(0);
+  for (std::thread& w : workers) w.join();
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+  std::vector<std::vector<Tensor>> params;
+  for (const auto& model : models) params.push_back(snapshot_params(*model));
+  return params;
 }
 
 // ---- multi-process harness ------------------------------------------------
@@ -119,6 +194,8 @@ struct DistRunSpec {
   /// targeted rank calls _exit at `kill_epoch`.
   std::int64_t kill_rank = -1;
   std::int64_t kill_epoch = -1;
+  /// Step execution of every rank, passed to the workers as kEnvGraph.
+  core::GraphMode graph = core::GraphMode::kOff;
 };
 
 struct DistRunResult {
@@ -144,6 +221,12 @@ DistRunResult run_dist_training(const DistRunSpec& spec) {
       std::string(kEnvCkptDir) + "=" + ckpt_dir,
       std::string(kEnvEpochs) + "=" + std::to_string(spec.epochs),
       std::string(kEnvResample) + "=" + std::to_string(spec.resample_every),
+      std::string(kEnvGraph) + "=" +
+          (spec.graph == core::GraphMode::kOn ? "1" : "0"),
+      // Workers replay in this process's precision (an Fp64Guard here
+      // pins theirs too).
+      std::string("QPINN_PRECISION=") +
+          autodiff::precision_name(autodiff::precision_mode()),
   };
   if (spec.kill_rank >= 0) {
     lc.extra_env.push_back("QPINN_FAULT_KILL_RANK=" +
@@ -169,6 +252,7 @@ DistRunResult run_dist_training(const DistRunSpec& spec) {
   auto problem = core::make_free_packet_problem();
   auto model = dist_tiny_model(*problem);
   core::TrainConfig config = dist_tiny_config(spec.epochs, spec.resample_every);
+  config.graph = spec.graph;
   core::CheckpointConfig ck;
   ck.dir = ckpt_dir;
   config.checkpoint = ck;
@@ -531,7 +615,7 @@ TEST(DistTrainer, LoopbackRanksMatchSingleProcessBitForBit) {
   const std::int64_t epochs = 6;
   const std::int64_t resample = 2;
   const std::vector<Tensor> reference =
-      run_single_process(/*threads=*/2, epochs, resample);
+      run_single_process(/*threads=*/2, dist_tiny_config(epochs, resample));
 
   set_global_threads(1);
   auto comms = dist::Communicator::loopback(2);
@@ -604,11 +688,132 @@ TEST(DistTrainer, StopIsSynchronizedAcrossRanks) {
   EXPECT_EQ(results[1].history.size(), 1u);
 }
 
+TEST(DistTrainer, LoopbackRanksCaptureAndReplayBitForBit) {
+  FaultGuard guard;
+  Fp64Guard precision_guard;
+  const std::int64_t epochs = 6;
+  const std::int64_t resample = 2;
+  const std::vector<Tensor> reference =
+      run_single_process(/*threads=*/2, dist_tiny_config(epochs, resample));
+
+  for (const core::GraphMode graph :
+       {core::GraphMode::kOff, core::GraphMode::kOn}) {
+    const std::string mode = graph == core::GraphMode::kOn ? "kOn" : "kOff";
+    core::TrainConfig config = dist_tiny_config(epochs, resample);
+    config.graph = graph;
+    autodiff::plan::reset_plan_stats();
+    const std::vector<std::vector<Tensor>> ranks =
+        run_loopback_ranks(/*world=*/2, config);
+    expect_bit_identical(ranks[0], reference, "rank0 " + mode);
+    expect_bit_identical(ranks[1], reference, "rank1 " + mode);
+    if (graph == core::GraphMode::kOn) {
+      // Each rank captures its shard once and replays it every later
+      // epoch; the in-place resample keeps both plans hot.
+      const autodiff::plan::PlanStats stats = autodiff::plan::plan_stats();
+      EXPECT_EQ(stats.plans_captured, 2u);
+      EXPECT_EQ(stats.replays, static_cast<std::uint64_t>(2 * (epochs - 1)));
+      EXPECT_EQ(stats.fallbacks, 0u);
+    }
+  }
+}
+
+TEST(DistTrainer, RanksWithoutRowsContributeZerosBitForBit) {
+  FaultGuard guard;
+  Fp64Guard precision_guard;
+  // 3 ranks over a 2-row interior: rank 2 owns no rows and all-reduces
+  // exact zeros, like the third of threads = 3 shards that never exists.
+  const std::int64_t epochs = 4;
+  const std::int64_t rows = 2;
+  for (const core::GraphMode graph :
+       {core::GraphMode::kOff, core::GraphMode::kOn}) {
+    const std::string mode = graph == core::GraphMode::kOn ? "kOn" : "kOff";
+    core::TrainConfig config = dist_tiny_config(epochs, /*resample_every=*/0);
+    config.graph = graph;
+    const std::vector<Tensor> reference =
+        run_single_process(/*threads=*/3, config, rows);
+    const std::vector<std::vector<Tensor>> ranks =
+        run_loopback_ranks(/*world=*/3, config, rows);
+    for (std::size_t r = 0; r < ranks.size(); ++r) {
+      expect_bit_identical(ranks[r], reference,
+                           "rank" + std::to_string(r) + " " + mode);
+    }
+  }
+}
+
+TEST(DistTrainer, DegradeUnderCaptureRecapturesNewShards) {
+  FaultGuard guard;
+  Fp64Guard precision_guard;
+  // 3 loopback ranks (policy kDegrade); rank 2 leaves after epoch 1, so the
+  // survivors reshard onto a world of 2. No resample: the shard ranges are
+  // the only plan-key input that changes, and a plan replayed over the old
+  // ranges would not even fit the new slices.
+  //
+  // Only the survivors' agreement is asserted, not equality with an eager
+  // degrade: the retried epoch can sum a survivor's stale pre-degrade
+  // contribution when the root aborts before reading it (a known
+  // dist-runtime race, eager or captured alike).
+  const std::int64_t epochs = 5;
+  set_global_threads(1);
+  auto comms = dist::Communicator::loopback(3);
+  std::vector<std::shared_ptr<core::FieldModel>> models;
+  std::vector<std::unique_ptr<core::Trainer>> trainers;
+  for (std::size_t r = 0; r < 3; ++r) {
+    auto problem = core::make_free_packet_problem();
+    auto model = dist_tiny_model(*problem);
+    core::TrainConfig config = dist_tiny_config(epochs, 0);
+    config.graph = core::GraphMode::kOn;
+    config.dist = comms[r];
+    trainers.push_back(
+        std::make_unique<core::Trainer>(problem, model, config));
+    models.push_back(model);
+  }
+  autodiff::plan::reset_plan_stats();
+  std::exception_ptr errors[3];
+  std::thread rank1([&] {
+    try {
+      trainers[1]->fit();
+    } catch (...) {
+      errors[1] = std::current_exception();
+    }
+  });
+  std::thread rank2([&] {
+    try {
+      trainers[2]->step(0);
+      trainers[2]->step(1);
+    } catch (...) {
+      errors[2] = std::current_exception();
+    }
+    // Dropping the last references closes rank 2's stream.
+    trainers[2].reset();
+    comms[2].reset();
+  });
+  core::TrainResult root_result;
+  try {
+    root_result = trainers[0]->fit();
+  } catch (...) {
+    errors[0] = std::current_exception();
+  }
+  rank1.join();
+  rank2.join();
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+
+  EXPECT_EQ(root_result.rank_failures, 1);
+  EXPECT_EQ(root_result.history.size(), static_cast<std::size_t>(epochs));
+  EXPECT_EQ(comms[0]->world(), 2);
+  // Both survivors re-capture once for their new shard ranges.
+  EXPECT_EQ(autodiff::plan::plan_stats().fallbacks, 2u);
+  expect_bit_identical(snapshot_params(*models[1]),
+                       snapshot_params(*models[0]), "rank1 vs rank0");
+}
+
 // ---- trainer integration (multi-process) ----------------------------------
 
 TEST(DistTrainer, MultiProcessRanksMatchSingleProcessBitForBit) {
   FaultGuard guard;
-  const std::vector<Tensor> ref2 = run_single_process(2, 6, 2);
+  const std::vector<Tensor> ref2 =
+      run_single_process(2, dist_tiny_config(6, 2));
   DistRunSpec spec;
   spec.world = 2;
   spec.epochs = 6;
@@ -619,7 +824,8 @@ TEST(DistTrainer, MultiProcessRanksMatchSingleProcessBitForBit) {
   EXPECT_EQ(run.result.rank_failures, 0);
   expect_bit_identical(run.params, ref2, "2-rank dist vs threads=2");
 
-  const std::vector<Tensor> ref4 = run_single_process(4, 4, 2);
+  const std::vector<Tensor> ref4 =
+      run_single_process(4, dist_tiny_config(4, 2));
   spec.world = 4;
   spec.epochs = 4;
   spec.tag = "bitid4";
@@ -630,30 +836,40 @@ TEST(DistTrainer, MultiProcessRanksMatchSingleProcessBitForBit) {
 
 TEST(DistTrainer, KilledRankRejoinsAndFinishesBitForBit) {
   FaultGuard guard;
-  DistRunSpec clean;
-  clean.world = 2;
-  clean.epochs = 8;
-  clean.resample_every = 2;
-  clean.tag = "clean";
-  const DistRunResult uninterrupted = run_dist_training(clean);
-  ASSERT_EQ(uninterrupted.failed_children, 0);
-  ASSERT_EQ(uninterrupted.result.rank_failures, 0);
+  // fp64 on every rank so a re-capture after the kill (an eager epoch)
+  // matches the replayed epoch it stands in for. Each mode compares only
+  // with itself.
+  Fp64Guard precision_guard;
+  for (const core::GraphMode graph :
+       {core::GraphMode::kOff, core::GraphMode::kOn}) {
+    const std::string mode = graph == core::GraphMode::kOn ? "on" : "off";
+    SCOPED_TRACE("graph " + mode);
+    DistRunSpec clean;
+    clean.world = 2;
+    clean.epochs = 8;
+    clean.resample_every = 2;
+    clean.graph = graph;
+    clean.tag = "clean_" + mode;
+    const DistRunResult uninterrupted = run_dist_training(clean);
+    ASSERT_EQ(uninterrupted.failed_children, 0);
+    ASSERT_EQ(uninterrupted.result.rank_failures, 0);
 
-  DistRunSpec faulted = clean;
-  faulted.tag = "killed";
-  faulted.kill_rank = 1;
-  faulted.kill_epoch = 4;  // a resample epoch: exercises the RNG rollback
-  const DistRunResult survived = run_dist_training(faulted);
+    DistRunSpec faulted = clean;
+    faulted.tag = "killed_" + mode;
+    faulted.kill_rank = 1;
+    faulted.kill_epoch = 4;  // a resample epoch: exercises the RNG rollback
+    const DistRunResult survived = run_dist_training(faulted);
 
-  // Rank 1 called _exit(137) at epoch 4; rank 0 detected the loss,
-  // checkpointed, restarted it via the launcher, re-synced it from
-  // last.qckpt + kSync, and the job finished all 8 epochs with final
-  // parameters bit-identical to the uninterrupted run.
-  EXPECT_EQ(survived.result.rank_failures, 1);
-  EXPECT_EQ(survived.failed_children, 0);
-  EXPECT_EQ(survived.result.history.size(), 8u);
-  expect_bit_identical(survived.params, uninterrupted.params,
-                       "kill+rejoin vs uninterrupted");
+    // Rank 1 called _exit(137) at epoch 4; rank 0 detected the loss,
+    // checkpointed, restarted it via the launcher, re-synced it from
+    // last.qckpt + kSync, and the job finished all 8 epochs with final
+    // parameters bit-identical to the uninterrupted run.
+    EXPECT_EQ(survived.result.rank_failures, 1);
+    EXPECT_EQ(survived.failed_children, 0);
+    EXPECT_EQ(survived.result.history.size(), 8u);
+    expect_bit_identical(survived.params, uninterrupted.params,
+                         "kill+rejoin vs uninterrupted");
+  }
 }
 
 // ---- CI fault matrix ------------------------------------------------------
@@ -673,11 +889,13 @@ TEST(DistFaultMatrix, SurvivesEnvConfiguredFault) {
   if (kill_armed) {
     // Full elastic-rejoin run driven entirely by the inherited
     // environment (workers inherit the kill knobs; replacements get the
-    // disarm override from the launcher).
+    // disarm override from the launcher). kEnvGraph=1 runs it while every
+    // rank replays a captured plan.
     DistRunSpec spec;
     spec.world = 2;
     spec.epochs = 8;
     spec.resample_every = 2;
+    spec.graph = graph_mode_from_env();
     spec.tag = "matrix";
     const DistRunResult run = run_dist_training(spec);
     EXPECT_EQ(run.result.history.size(), 8u);
@@ -731,6 +949,7 @@ int run_dist_worker(const dist::WorkerArgs& args) {
     auto model = dist_tiny_model(*problem);
     core::TrainConfig config =
         dist_tiny_config(env_int(kEnvEpochs, 6), env_int(kEnvResample, 0));
+    config.graph = graph_mode_from_env();
     const std::string ckpt_dir = env_string(kEnvCkptDir);
 
     dist::DistConfig dc;

@@ -1,15 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 
 #include "autodiff/grad.hpp"
 #include "autodiff/ops.hpp"
 #include "optim/adam.hpp"
 #include "optim/optimizer.hpp"
-#include "optim/rmsprop.hpp"
 #include "optim/scheduler.hpp"
-#include "optim/sgd.hpp"
 #include "util/error.hpp"
 
 namespace qpinn::optim {
@@ -37,63 +34,6 @@ double minimize_quadratic(Optimizer& optimizer, const Variable& p,
 }
 
 Tensor target_tensor() { return Tensor::from_vector({1.0, -2.0, 0.5}, {3}); }
-
-TEST(Sgd, ConvergesOnQuadratic) {
-  const Variable p = Variable::leaf(Tensor::zeros({3}));
-  SgdConfig config;
-  config.lr = 0.1;
-  Sgd optimizer({p}, config);
-  EXPECT_LT(minimize_quadratic(optimizer, p, target_tensor(), 100), 1e-6);
-}
-
-TEST(Sgd, MomentumAcceleratesConvergence) {
-  const Variable plain_p = Variable::leaf(Tensor::zeros({3}));
-  SgdConfig plain;
-  plain.lr = 0.02;
-  Sgd plain_opt({plain_p}, plain);
-  const double plain_dist =
-      minimize_quadratic(plain_opt, plain_p, target_tensor(), 40);
-
-  const Variable mom_p = Variable::leaf(Tensor::zeros({3}));
-  SgdConfig with_momentum;
-  with_momentum.lr = 0.02;
-  with_momentum.momentum = 0.9;
-  Sgd mom_opt({mom_p}, with_momentum);
-  const double mom_dist =
-      minimize_quadratic(mom_opt, mom_p, target_tensor(), 40);
-  EXPECT_LT(mom_dist, plain_dist);
-}
-
-TEST(Sgd, NesterovConverges) {
-  const Variable p = Variable::leaf(Tensor::zeros({3}));
-  SgdConfig config;
-  config.lr = 0.02;
-  config.momentum = 0.9;
-  config.nesterov = true;
-  Sgd optimizer({p}, config);
-  EXPECT_LT(minimize_quadratic(optimizer, p, target_tensor(), 200), 1e-5);
-}
-
-TEST(Sgd, WeightDecayShrinksSolution) {
-  const Variable p = Variable::leaf(Tensor::zeros({3}));
-  SgdConfig config;
-  config.lr = 0.1;
-  config.weight_decay = 1.0;  // strong decay biases toward zero
-  Sgd optimizer({p}, config);
-  minimize_quadratic(optimizer, p, target_tensor(), 300);
-  // Fixed point of (2(p - t) + p) = 0 is p = 2t/3.
-  EXPECT_NEAR(p.value()[0], 2.0 / 3.0, 1e-6);
-}
-
-TEST(Sgd, ConfigValidation) {
-  const Variable p = Variable::leaf(Tensor::zeros({1}));
-  SgdConfig bad;
-  bad.momentum = 1.5;
-  EXPECT_THROW(Sgd({p}, bad), ValueError);
-  SgdConfig nesterov_without_momentum;
-  nesterov_without_momentum.nesterov = true;
-  EXPECT_THROW(Sgd({p}, nesterov_without_momentum), ValueError);
-}
 
 TEST(Adam, ConvergesOnQuadratic) {
   const Variable p = Variable::leaf(Tensor::zeros({3}));
@@ -162,23 +102,6 @@ TEST(Optimizer, RequiresTrainableLeaves) {
   EXPECT_THROW(Adam({}, AdamConfig{}), ValueError);
 }
 
-TEST(Rmsprop, ConvergesOnQuadratic) {
-  const Variable p = Variable::leaf(Tensor::zeros({3}));
-  RmspropConfig config;
-  config.lr = 0.02;
-  Rmsprop optimizer({p}, config);
-  EXPECT_LT(minimize_quadratic(optimizer, p, target_tensor(), 500), 1e-3);
-}
-
-TEST(Rmsprop, MomentumVariantConverges) {
-  const Variable p = Variable::leaf(Tensor::zeros({3}));
-  RmspropConfig config;
-  config.lr = 0.01;
-  config.momentum = 0.5;
-  Rmsprop optimizer({p}, config);
-  EXPECT_LT(minimize_quadratic(optimizer, p, target_tensor(), 500), 1e-2);
-}
-
 // ---- gradient clipping -------------------------------------------------------
 
 TEST(ClipGradNorm, ScalesDownLargeGradients) {
@@ -213,24 +136,6 @@ TEST(Schedulers, ExponentialDecaySteps) {
   EXPECT_NEAR(schedule.lr_at(4000, 1e-3), 0.85 * 0.85e-3, 1e-15);
   EXPECT_THROW(ExponentialDecay(0.0, 10), ValueError);
   EXPECT_THROW(ExponentialDecay(0.9, 0), ValueError);
-}
-
-TEST(Schedulers, CosineAnnealingEndpoints) {
-  CosineAnnealing schedule(100, 1e-5);
-  EXPECT_DOUBLE_EQ(schedule.lr_at(0, 1e-3), 1e-3);
-  EXPECT_NEAR(schedule.lr_at(100, 1e-3), 1e-5, 1e-15);
-  EXPECT_NEAR(schedule.lr_at(50, 1e-3), (1e-3 + 1e-5) / 2.0, 1e-10);
-  EXPECT_NEAR(schedule.lr_at(200, 1e-3), 1e-5, 1e-15);  // clamped
-}
-
-TEST(Schedulers, WarmupRampsThenDelegates) {
-  auto inner = std::make_shared<ConstantLr>();
-  Warmup schedule(10, inner);
-  EXPECT_NEAR(schedule.lr_at(0, 1.0), 0.1, 1e-12);
-  EXPECT_NEAR(schedule.lr_at(4, 1.0), 0.5, 1e-12);
-  EXPECT_DOUBLE_EQ(schedule.lr_at(10, 1.0), 1.0);
-  EXPECT_THROW(Warmup(0, inner), ValueError);
-  EXPECT_THROW(Warmup(5, nullptr), ValueError);
 }
 
 TEST(Optimizer, SetLrValidated) {

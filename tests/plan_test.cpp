@@ -429,41 +429,44 @@ TEST(PlanTrainer, InvalidatesOnThreadCountChange) {
 // The plan key must not trust the interior data pointer alone: the storage
 // pool can hand a freed buffer back at the same address holding a
 // *different* point set (ABA), which a (pointer, shape) key cannot tell
-// apart from the captured batch. Parallel mode makes this reachable — the
-// captured shard plans pin row *copies* of the interior, so rebinding the
-// interior drops the last reference and parks its buffer in the pool.
+// apart from the captured batch. Every shard plan, the single serial shard
+// included, pins a row *copy* of the interior, so rebinding the interior
+// drops the last reference and parks its buffer in the pool.
 TEST(PlanTrainer, RecycledInteriorBufferStillInvalidatesPlan) {
-  set_global_threads(2);
-  auto problem = make_free_packet_problem();
-  TrainConfig config = plan_config(1);
-  config.graph = GraphMode::kOn;
-  config.threads = 2;
-  auto model = tiny_model(*problem, 17);
-  Trainer trainer(problem, model, config);
-  ASSERT_TRUE(trainer.graph_enabled());
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    set_global_threads(2);
+    auto problem = make_free_packet_problem();
+    TrainConfig config = plan_config(1);
+    config.graph = GraphMode::kOn;
+    config.threads = threads;
+    auto model = tiny_model(*problem, 17);
+    Trainer trainer(problem, model, config);
+    ASSERT_TRUE(trainer.graph_enabled());
 
-  plan::reset_plan_stats();
-  trainer.step(0);
-  trainer.step(1);
-  ASSERT_EQ(plan::plan_stats().fallbacks, 0u);
+    plan::reset_plan_stats();
+    trainer.step(0);
+    trainer.step(1);
+    ASSERT_EQ(plan::plan_stats().fallbacks, 0u);
 
-  const Shape shape = trainer.collocation().interior.shape();
-  const void* original = trainer.collocation().interior.data();
-  // Rebind the interior to a throwaway tensor: the original buffer's last
-  // reference dies and the pool parks it...
-  trainer.replace_interior(Tensor::zeros({2, 2}));
-  // ...so a same-shape allocation gets the SAME address back. This is the
-  // ABA setup: identical pointer, identical shape, different points.
-  Tensor recycled = Tensor::zeros(shape);
-  ASSERT_EQ(recycled.data(), original)
-      << "pool did not recycle the parked buffer; ABA premise not met";
-  trainer.replace_interior(std::move(recycled));
+    const Shape shape = trainer.collocation().interior.shape();
+    const void* original = trainer.collocation().interior.data();
+    // Rebind the interior to a throwaway tensor: the original buffer's last
+    // reference dies and the pool parks it...
+    trainer.replace_interior(Tensor::zeros({2, 2}));
+    // ...so a same-shape allocation gets the SAME address back. This is the
+    // ABA setup: identical pointer, identical shape, different points.
+    Tensor recycled = Tensor::zeros(shape);
+    ASSERT_EQ(recycled.data(), original)
+        << "pool did not recycle the parked buffer; ABA premise not met";
+    trainer.replace_interior(std::move(recycled));
 
-  const EpochRecord record = trainer.step(2);
-  EXPECT_TRUE(std::isfinite(record.total_loss));
-  const plan::PlanStats stats = plan::plan_stats();
-  EXPECT_EQ(stats.fallbacks, 1u);
-  set_global_threads(default_num_threads());
+    const EpochRecord record = trainer.step(2);
+    EXPECT_TRUE(std::isfinite(record.total_loss));
+    const plan::PlanStats stats = plan::plan_stats();
+    EXPECT_EQ(stats.fallbacks, 1u);
+    set_global_threads(default_num_threads());
+  }
 }
 
 // --- steady-state cost -----------------------------------------------------

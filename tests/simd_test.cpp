@@ -214,8 +214,6 @@ TEST_P(SimdVariantP, InplaceAndAdamKernelsAreBitIdenticalToScalar) {
     scalar().axpy(want.data() + 1, 0.5, src.data() + 1, n);
     variant().scale_inplace(got.data() + 1, 0.9, n);
     scalar().scale_inplace(want.data() + 1, 0.9, n);
-    variant().axpby(got.data() + 1, 0.9, 0.1, src.data() + 1, n);
-    scalar().axpby(want.data() + 1, 0.9, 0.1, src.data() + 1, n);
     variant().acc_add(got.data() + 1, src.data() + 1, n);
     scalar().acc_add(want.data() + 1, src.data() + 1, n);
     for (std::size_t i = 1; i <= n; ++i) {
@@ -595,12 +593,6 @@ TEST(SimdKernels, FusedKernelsMatchTheirCompositionUnderEveryVariant) {
       }
     }
     EXPECT_NEAR(kernels::weighted_square_sum_all(w_col, a)[0], want, 1e-12);
-
-    Tensor dst = a.clone();
-    kernels::axpby_inplace(dst, 0.9, 0.1, w_same);
-    for (std::int64_t i = 0; i < a.numel(); ++i) {
-      EXPECT_DOUBLE_EQ(dst[i], 0.9 * a[i] + 0.1 * w_same[i]);
-    }
 
     // tanh_grad must agree bitwise with the composition it replaces in
     // optimized plans: mul(g, add_scalar(neg(square(t)), 1.0)). The fused
