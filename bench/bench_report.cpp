@@ -311,18 +311,13 @@ int main(int argc, char** argv) {
   // replay the recorded kernel schedule — no tape, no Node allocations, no
   // pool traffic (allocs_per_op and reuses_per_op must both be 0).
   namespace plan = qpinn::autodiff::plan;
-  const bool plan_opt = plan::plan_opt_env_enabled();
   plan::ExecutionPlan fwd_plan;
   Tensor fwd_loss;  // declared plan output: keeps the head live under DCE
   {
     plan::CaptureScope scope(fwd_plan);
     fwd_loss = model.loss().value();
   }
-  plan::PassStats fwd_pass;
-  fwd_pass.thunks_before = fwd_pass.thunks_after = fwd_plan.size();
-  fwd_pass.arena_bytes_before = fwd_pass.arena_bytes_after =
-      fwd_plan.arena_bytes();
-  if (plan_opt) fwd_pass = plan::optimize_plan(fwd_plan, {fwd_loss});
+  const plan::PassStats fwd_pass = plan::optimize_plan(fwd_plan, {fwd_loss});
   results.push_back(time_op("autodiff", "mlp_forward_replay", "256x2->1",
                             r_mid, [&] { fwd_plan.replay(); },
                             mlp_fwd_flops));
@@ -350,11 +345,7 @@ int main(int argc, char** argv) {
     plan_grads.reserve(grads.size());
     for (auto& gv : grads) plan_grads.push_back(gv.value());
   }
-  plan::PassStats step_pass;
-  step_pass.thunks_before = step_pass.thunks_after = step_plan.size();
-  step_pass.arena_bytes_before = step_pass.arena_bytes_after =
-      step_plan.arena_bytes();
-  if (plan_opt) step_pass = plan::optimize_plan(step_plan, plan_grads);
+  const plan::PassStats step_pass = plan::optimize_plan(step_plan, plan_grads);
   auto train_step_replay = [&] {
     step_plan.replay();
     adam.step(plan_grads);
@@ -375,7 +366,7 @@ int main(int argc, char** argv) {
     mixed_grads.reserve(grads.size());
     for (auto& gv : grads) mixed_grads.push_back(gv.value());
   }
-  if (plan_opt) plan::optimize_plan(mixed_plan, mixed_grads);
+  plan::optimize_plan(mixed_plan, mixed_grads);
   const ad::DemoteStats demote_stats =
       ad::demote_plan(mixed_plan, mixed_grads);
   auto train_step_mixed = [&] {
@@ -676,8 +667,7 @@ int main(int argc, char** argv) {
         }
       }
     }
-    // Per-plan pass statistics, captured on the trainer's first step
-    // (all-zero when QPINN_PLAN_OPT is off).
+    // Per-plan pass statistics, captured on the trainer's first step.
     const auto shard_stats = trainer.plan_pass_stats();
     if (!shard_stats.empty()) tdse_pass = shard_stats[0];
 
@@ -850,8 +840,6 @@ int main(int argc, char** argv) {
   json << "    \"plans_captured\": " << pstats.plans_captured << ",\n";
   json << "    \"plan_replays\": " << pstats.replays << ",\n";
   json << "    \"plan_fallbacks\": " << pstats.fallbacks << ",\n";
-  json << "    \"plan_opt_enabled\": " << (plan_opt ? "true" : "false")
-       << ",\n";
   json << "    \"plans_optimized\": " << pstats.plans_optimized << ",\n";
   json << "    \"plan_thunks_eliminated\": " << pstats.thunks_eliminated
        << ",\n";
@@ -934,9 +922,8 @@ int main(int argc, char** argv) {
     std::cout << "WARNING: serving did " << fmt(serve_allocs_per_query)
               << " pool allocations per query; steady state must be 0\n";
   }
-  if (plan_opt &&
-      (tdse_pass.thunks_after >= tdse_pass.thunks_before ||
-       tdse_pass.arena_bytes_after >= tdse_pass.arena_bytes_before)) {
+  if (tdse_pass.thunks_after >= tdse_pass.thunks_before ||
+      tdse_pass.arena_bytes_after >= tdse_pass.arena_bytes_before) {
     std::cout << "WARNING: plan optimizer made no thunk or arena reduction "
                  "on the TDSE training plan (thunks "
               << tdse_pass.thunks_before << " -> " << tdse_pass.thunks_after

@@ -1,13 +1,9 @@
 #include "autodiff/plan.hpp"
 
-#include <algorithm>
 #include <atomic>
-#include <cctype>
-#include <string>
 #include <utility>
 
 #include "tensor/kernels.hpp"
-#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace qpinn::autodiff::plan {
@@ -230,21 +226,6 @@ void count_optimized(const PassStats& s) {
                                 std::memory_order_relaxed);
   g_arena_bytes_saved.fetch_add(s.arena_bytes_before - s.arena_bytes_after,
                                 std::memory_order_relaxed);
-}
-
-bool graph_env_enabled() {
-  std::string raw = env_string("QPINN_GRAPH");
-  std::transform(raw.begin(), raw.end(), raw.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  if (raw.empty() || raw == "on" || raw == "1" || raw == "true" ||
-      raw == "yes") {
-    return true;
-  }
-  if (raw == "off" || raw == "0" || raw == "false" || raw == "no") {
-    return false;
-  }
-  throw ConfigError("QPINN_GRAPH must be on/off (got \"" + raw + "\")");
 }
 
 }  // namespace qpinn::autodiff::plan

@@ -31,12 +31,13 @@
 // was captured, and all kernels are deterministic for a fixed thread count
 // and SIMD variant. Replayed losses/gradients are therefore bit-identical to
 // eager execution, checkpoints resume exactly across modes, and
-// QPINN_GRAPH=off is a pure escape hatch. Anything that breaks the premise —
-// batch shape, shard row ranges (threads or dist world), thread count, ISA,
-// or buffer identity changes — must invalidate the plan (the trainer keys
-// each shard's plan on exactly those inputs and re-captures with a logged
-// fallback; a dist rank captures and replays only its own shard). The optimizer passes preserve the
-// contract by construction (see plan_passes.hpp).
+// GraphMode::kOff (core/trainer.hpp) is a pure debugging switch. Anything
+// that breaks the premise — batch shape, shard row ranges (threads or dist
+// world), thread count, ISA, or buffer identity changes — must invalidate
+// the plan (the trainer keys each shard's plan on exactly those inputs and
+// re-captures with a logged fallback; a dist rank captures and replays only
+// its own shard). The optimizer passes preserve the contract by
+// construction (see plan_passes.hpp).
 #pragma once
 
 #include <cstddef>
@@ -239,10 +240,5 @@ void reset_plan_stats();
 void count_fallback();
 /// Called by the pass pipeline after optimizing one plan.
 void count_optimized(const PassStats& s);
-
-/// Parses QPINN_GRAPH: unset/empty/"on"/"1"/"true"/"yes" -> true (replay is
-/// the default), "off"/"0"/"false"/"no" -> false; anything else throws
-/// ConfigError.
-bool graph_env_enabled();
 
 }  // namespace qpinn::autodiff::plan

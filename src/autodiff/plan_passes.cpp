@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cctype>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -14,7 +13,6 @@
 #include <vector>
 
 #include "tensor/kernels.hpp"
-#include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/invariant.hpp"
 
@@ -531,21 +529,6 @@ void check_no_stale_reads(const std::vector<Thunk>& ts,
 }
 
 }  // namespace
-
-bool plan_opt_env_enabled() {
-  std::string raw = env_string("QPINN_PLAN_OPT");
-  std::transform(raw.begin(), raw.end(), raw.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  if (raw.empty() || raw == "on" || raw == "1" || raw == "true" ||
-      raw == "yes") {
-    return true;
-  }
-  if (raw == "off" || raw == "0" || raw == "false" || raw == "no") {
-    return false;
-  }
-  throw ConfigError("QPINN_PLAN_OPT must be on/off (got \"" + raw + "\")");
-}
 
 PassStats optimize_plan(ExecutionPlan& plan,
                         const std::vector<Tensor>& outputs) {

@@ -61,9 +61,9 @@
 // After every pass, checked builds (QPINN_CHECKED) run verify_plan's
 // structural check over the rewritten thunk array.
 //
-// The pipeline is gated by QPINN_PLAN_OPT (same grammar as QPINN_GRAPH);
-// with the knob off, plan owners skip optimize_plan() and replay the
-// verbatim capture.
+// Every finalized capture is optimized: plan owners call
+// autodiff::finalize_plan (autodiff/precision.hpp), which runs this
+// pipeline and then, in mixed precision, the demotion pass.
 #pragma once
 
 #include <string>
@@ -74,11 +74,6 @@
 
 namespace qpinn::autodiff::plan {
 
-/// Parses QPINN_PLAN_OPT: unset/empty/"on"/"1"/"true"/"yes" -> true (the
-/// passes are on by default), "off"/"0"/"false"/"no" -> false; anything
-/// else throws ConfigError.
-bool plan_opt_env_enabled();
-
 /// Runs the pass pipeline over `plan`. `outputs` are the buffers the host
 /// reads after replay (loss/gradient/aux tensors, the serving output) —
 /// they keep their identity and final value. Buffers the host refreshes in
@@ -86,8 +81,7 @@ bool plan_opt_env_enabled();
 /// serving input) need no declaration: the passes detect them as external
 /// inputs because the plan reads them before writing them. Returns the
 /// per-plan statistics, which are also stored on the plan and aggregated
-/// into plan_stats(). Callers gate on plan_opt_env_enabled(); this
-/// function itself always runs.
+/// into plan_stats().
 PassStats optimize_plan(ExecutionPlan& plan,
                         const std::vector<Tensor>& outputs);
 

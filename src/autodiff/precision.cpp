@@ -10,11 +10,13 @@
 #include <utility>
 #include <vector>
 
+#include "autodiff/plan_passes.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/kernels_f32.hpp"
 #include "tensor/storage_pool.hpp"
 #include "util/env.hpp"
 #include "util/error.hpp"
+#include "util/logging.hpp"
 
 namespace qpinn::autodiff {
 
@@ -535,6 +537,27 @@ DemoteStats demote_plan(plan::ExecutionPlan& plan,
   Demoter d(plan.take_thunks());
   plan.set_thunks(d.run(outputs));
   return d.stats();
+}
+
+void finalize_plan(plan::ExecutionPlan& plan,
+                   const std::vector<Tensor>& outputs) {
+  const plan::PassStats s = plan::optimize_plan(plan, outputs);
+  log::debug() << "plan optimized: " << s.thunks_before << " -> "
+               << s.thunks_after << " thunks (" << s.deduplicated
+               << " deduplicated, " << s.folded << " folded, "
+               << s.dead_eliminated << " dead, " << s.fused
+               << " fused), arena " << s.arena_bytes_before << " -> "
+               << s.arena_bytes_after << " bytes (" << s.buffers_rebound
+               << " buffers re-bound)";
+  if (precision_mode() != Precision::kMixed) return;
+  // Must run after the optimizer passes: demoted thunks are opaque
+  // closures the passes cannot analyze.
+  const DemoteStats d = demote_plan(plan, outputs);
+  log::debug() << "plan demoted to mixed precision: " << d.demoted << "/"
+               << d.thunks_before << " thunks fp32 (" << d.kept_fp64
+               << " kept fp64, " << d.downcasts << " downcasts, "
+               << d.upcasts << " upcasts, " << d.shadow_bytes
+               << " shadow bytes)";
 }
 
 }  // namespace qpinn::autodiff

@@ -31,8 +31,12 @@
 //
 // Eager execution never sees this pass — only captured plans demote (a
 // dist rank's shard plan included; its all-reduce buffer stays fp64), so
-// QPINN_GRAPH=off composes with QPINN_PRECISION by simply running
+// GraphMode::kOff composes with QPINN_PRECISION by simply running
 // everything fp64.
+//
+// finalize_plan() is the one place that policy lives: every plan owner
+// (the trainer's shard plans, the serving lanes) finalizes a capture
+// through it.
 #pragma once
 
 #include <cstddef>
@@ -77,5 +81,13 @@ struct DemoteStats {
 /// by plan::optimize_plan; must be the LAST pass applied.
 DemoteStats demote_plan(plan::ExecutionPlan& plan,
                         const std::vector<Tensor>& outputs);
+
+/// Finalizes a capture once its CaptureScope has closed and the eager
+/// graph is gone: runs the optimizer passes (plan::optimize_plan), then,
+/// when precision_mode() is kMixed, demote_plan — last, since a demoted
+/// plan is terminal. `outputs` are the host-read buffers, as for both
+/// passes. The pass statistics ride on the plan (pass_stats()).
+void finalize_plan(plan::ExecutionPlan& plan,
+                   const std::vector<Tensor>& outputs);
 
 }  // namespace qpinn::autodiff

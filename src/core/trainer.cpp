@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "autodiff/grad.hpp"
-#include "autodiff/plan_passes.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/kernels.hpp"
 #include "util/binary_io.hpp"
@@ -114,10 +113,6 @@ Trainer::Trainer(std::shared_ptr<Problem> problem,
   } else {
     schedule_ = std::make_unique<optim::ConstantLr>();
   }
-  graph_enabled_ =
-      config_.graph == GraphMode::kOn ||
-      (config_.graph == GraphMode::kEnv && plan::graph_env_enabled());
-  plan_opt_enabled_ = plan::plan_opt_env_enabled();
 }
 
 bool Trainer::dist_active() const {
@@ -237,7 +232,12 @@ Trainer::LossAndGrads Trainer::run_shard(std::size_t s, RowRange rows,
   }
   ShardPlan& sp = plans_[s];
   LossAndGrads out = eager_shard(shard_points, shard_weights, include_aux, &sp);
-  optimize_shard_plan(sp);
+  // The eager graph is gone; the host-read buffers (loss, grads, aux) are
+  // the plan's outputs.
+  std::vector<Tensor> outputs{sp.loss};
+  outputs.insert(outputs.end(), sp.grads.begin(), sp.grads.end());
+  for (const AuxBinding& b : sp.aux) outputs.push_back(b.value);
+  finalize_plan(sp.plan, outputs);
   return out;
 }
 
@@ -304,7 +304,7 @@ Trainer::LossAndGrads Trainer::compute(std::int64_t epoch) {
   }
 
   ShardMode mode = ShardMode::kEager;
-  if (graph_enabled_) {
+  if (graph_enabled()) {
     const PlanKey key = current_plan_key(ranges);
     if (plans_ready_ && !(key == plan_key_)) {
       plans_ready_ = false;
@@ -351,35 +351,6 @@ Trainer::PlanKey Trainer::current_plan_key(
   return key;
 }
 
-void Trainer::optimize_shard_plan(ShardPlan& sp) {
-  std::vector<Tensor> outputs;
-  outputs.reserve(sp.grads.size() + sp.aux.size() + 1);
-  outputs.push_back(sp.loss);
-  for (const Tensor& g : sp.grads) outputs.push_back(g);
-  for (const AuxBinding& b : sp.aux) outputs.push_back(b.value);
-  if (plan_opt_enabled_) {
-    const plan::PassStats stats = plan::optimize_plan(sp.plan, outputs);
-    log::debug() << problem_->name() << " plan optimized: "
-                 << stats.thunks_before << " -> " << stats.thunks_after
-                 << " thunks (" << stats.deduplicated << " deduplicated, "
-                 << stats.folded << " folded, " << stats.dead_eliminated
-                 << " dead, " << stats.fused
-                 << " fused), arena " << stats.arena_bytes_before << " -> "
-                 << stats.arena_bytes_after << " bytes ("
-                 << stats.buffers_rebound << " buffers re-bound)";
-  }
-  if (precision_mode() == Precision::kMixed) {
-    // Must run after the optimizer passes: demoted thunks are opaque
-    // closures the passes cannot analyze.
-    const DemoteStats d = demote_plan(sp.plan, outputs);
-    log::debug() << problem_->name() << " plan demoted to mixed precision: "
-                 << d.demoted << "/" << d.thunks_before
-                 << " thunks fp32 (" << d.kept_fp64 << " kept fp64, "
-                 << d.downcasts << " downcasts, " << d.upcasts
-                 << " upcasts, " << d.shadow_bytes << " shadow bytes)";
-  }
-}
-
 std::vector<plan::PassStats> Trainer::plan_pass_stats() const {
   std::vector<plan::PassStats> stats;
   stats.reserve(plans_.size());
@@ -406,7 +377,7 @@ EpochRecord Trainer::step(std::int64_t epoch) {
     // a captured plan survives per-epoch resampling (replay re-reads the
     // storage). A shape change still swaps the tensor and the new pointer
     // invalidates the plan.
-    if (graph_enabled_ && points_.interior.shape() == fresh.shape()) {
+    if (graph_enabled() && points_.interior.shape() == fresh.shape()) {
       kernels::copy_into(points_.interior, fresh);
     } else {
       replace_interior(std::move(fresh));

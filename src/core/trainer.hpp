@@ -40,10 +40,9 @@
 
 namespace qpinn::core {
 
-/// Graph capture & replay policy for the training step. kEnv (default)
-/// follows QPINN_GRAPH (replay is on unless QPINN_GRAPH=off); kOn/kOff
-/// override the environment.
-enum class GraphMode { kEnv, kOn, kOff };
+/// Graph capture & replay policy for the training step: kOn (default)
+/// captures and replays, kOff runs the eager tape every step.
+enum class GraphMode { kOn, kOff };
 
 /// Divergence-recovery policy. When a step's loss or gradients go
 /// non-finite — or the loss exceeds `explosion_factor` times the minimum of
@@ -119,7 +118,7 @@ struct TrainConfig {
   /// and replay it afterwards (autodiff/plan.hpp), in process and in dist
   /// mode alike. Replay is bit-identical to eager execution, so this is
   /// purely a performance choice.
-  GraphMode graph = GraphMode::kEnv;
+  GraphMode graph = GraphMode::kOn;
   /// Multi-process data-parallel training (dist/communicator.hpp): each
   /// rank computes one contiguous interior shard — the same partition
   /// arithmetic as `threads` sharding — and gradients are all-reduced in
@@ -208,12 +207,11 @@ class Trainer {
   FieldModel& model() { return *model_; }
 
   /// True when this trainer captures/replays execution plans.
-  bool graph_enabled() const { return graph_enabled_; }
+  bool graph_enabled() const { return config_.graph == GraphMode::kOn; }
 
   /// Optimizer-pass statistics for each captured shard plan (observability:
   /// bench_report surfaces the thunk/arena reduction per training plan).
-  /// Empty until the first captured step; all-zero when QPINN_PLAN_OPT is
-  /// off.
+  /// Empty until the first captured step.
   std::vector<autodiff::plan::PassStats> plan_pass_stats() const;
 
   /// Replaces the interior collocation set (e.g. to change the batch size
@@ -321,16 +319,6 @@ class Trainer {
   };
   PlanKey current_plan_key(const std::vector<RowRange>& shards) const;
 
-  /// Finalizes one shard's capture: runs the optimizer passes
-  /// (autodiff/plan_passes.hpp) when QPINN_PLAN_OPT is on, then the
-  /// mixed-precision demotion pass (autodiff/precision.hpp) when
-  /// QPINN_PRECISION=mixed — demotion must be last, a demoted plan is
-  /// terminal. The host-read buffers (loss, grads, aux) are declared as
-  /// plan outputs for both. Called after the CaptureScope closes, once the
-  /// eager Variable graph is destroyed; thread-safe (per-shard state
-  /// only).
-  void optimize_shard_plan(ShardPlan& sp);
-
   /// In-memory rollback point for divergence recovery.
   struct Snapshot {
     std::int64_t epoch = -1;  ///< last completed epoch at snapshot time
@@ -361,10 +349,6 @@ class Trainer {
   std::vector<autodiff::Variable> params_;
   std::unique_ptr<optim::Adam> optimizer_;
   std::unique_ptr<optim::LrSchedule> schedule_;
-  bool graph_enabled_ = false;
-  /// QPINN_PLAN_OPT at construction: run the optimizer passes
-  /// (autodiff/plan_passes.hpp) over every finalized capture.
-  bool plan_opt_enabled_ = false;
   bool plans_ready_ = false;
   /// Bumped by replace_interior, the only place points_.interior is
   /// rebound to a different tensor (see PlanKey::interior_generation). The

@@ -84,8 +84,8 @@ class CompiledModel {
   std::size_t plan_size() const { return lanes_.front()->plan.size(); }
   /// Pinned arena footprint across all lanes in bytes (observability).
   std::size_t arena_bytes() const;
-  /// Optimizer-pass statistics for one forward plan (all zero when
-  /// QPINN_PLAN_OPT is off; identical across lanes).
+  /// Optimizer-pass statistics for one forward plan (identical across
+  /// lanes).
   const autodiff::plan::PassStats& pass_stats() const {
     return lanes_.front()->plan.pass_stats();
   }

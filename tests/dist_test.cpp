@@ -32,6 +32,8 @@
 #include "util/error.hpp"
 #include "util/fault.hpp"
 
+#include "test_guards.hpp"
+
 namespace qpinn {
 namespace {
 
@@ -62,7 +64,7 @@ core::TrainConfig dist_tiny_config(std::int64_t epochs,
   config.metric_nt = 8;
   config.resample_every = resample_every;
   // Eager unless a test opts into capture: kOff results hold under any
-  // QPINN_GRAPH/QPINN_PRECISION the suite inherits.
+  // QPINN_PRECISION the suite inherits.
   config.graph = core::GraphMode::kOff;
   return config;
 }
@@ -104,19 +106,6 @@ void expect_bit_identical(const std::vector<Tensor>& a,
 struct FaultGuard {
   FaultGuard() { FaultInjector::instance().clear(); }
   ~FaultGuard() { FaultInjector::instance().clear(); }
-};
-
-/// Pins fp64 plan replay (in this process) for a test that compares
-/// captured runs bit for bit; restores the previous mode on exit.
-class Fp64Guard {
- public:
-  Fp64Guard() : saved_(autodiff::precision_mode()) {
-    autodiff::set_precision_mode(autodiff::Precision::kFp64);
-  }
-  ~Fp64Guard() { autodiff::set_precision_mode(saved_); }
-
- private:
-  autodiff::Precision saved_;
 };
 
 /// Cuts a freshly built trainer's interior down to its first `rows` rows
@@ -223,7 +212,7 @@ DistRunResult run_dist_training(const DistRunSpec& spec) {
       std::string(kEnvResample) + "=" + std::to_string(spec.resample_every),
       std::string(kEnvGraph) + "=" +
           (spec.graph == core::GraphMode::kOn ? "1" : "0"),
-      // Workers replay in this process's precision (an Fp64Guard here
+      // Workers replay in this process's precision (a PrecisionGuard here
       // pins theirs too).
       std::string("QPINN_PRECISION=") +
           autodiff::precision_name(autodiff::precision_mode()),
@@ -690,7 +679,7 @@ TEST(DistTrainer, StopIsSynchronizedAcrossRanks) {
 
 TEST(DistTrainer, LoopbackRanksCaptureAndReplayBitForBit) {
   FaultGuard guard;
-  Fp64Guard precision_guard;
+  PrecisionGuard precision_guard;
   const std::int64_t epochs = 6;
   const std::int64_t resample = 2;
   const std::vector<Tensor> reference =
@@ -719,7 +708,7 @@ TEST(DistTrainer, LoopbackRanksCaptureAndReplayBitForBit) {
 
 TEST(DistTrainer, RanksWithoutRowsContributeZerosBitForBit) {
   FaultGuard guard;
-  Fp64Guard precision_guard;
+  PrecisionGuard precision_guard;
   // 3 ranks over a 2-row interior: rank 2 owns no rows and all-reduces
   // exact zeros, like the third of threads = 3 shards that never exists.
   const std::int64_t epochs = 4;
@@ -742,7 +731,7 @@ TEST(DistTrainer, RanksWithoutRowsContributeZerosBitForBit) {
 
 TEST(DistTrainer, DegradeUnderCaptureRecapturesNewShards) {
   FaultGuard guard;
-  Fp64Guard precision_guard;
+  PrecisionGuard precision_guard;
   // 3 loopback ranks (policy kDegrade); rank 2 leaves after epoch 1, so the
   // survivors reshard onto a world of 2. No resample: the shard ranges are
   // the only plan-key input that changes, and a plan replayed over the old
@@ -839,7 +828,7 @@ TEST(DistTrainer, KilledRankRejoinsAndFinishesBitForBit) {
   // fp64 on every rank so a re-capture after the kill (an eager epoch)
   // matches the replayed epoch it stands in for. Each mode compares only
   // with itself.
-  Fp64Guard precision_guard;
+  PrecisionGuard precision_guard;
   for (const core::GraphMode graph :
        {core::GraphMode::kOff, core::GraphMode::kOn}) {
     const std::string mode = graph == core::GraphMode::kOn ? "on" : "off";

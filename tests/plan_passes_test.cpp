@@ -7,13 +7,12 @@
 // Replay with the passes on stays bit-identical to eager under every SIMD
 // variant (serial, parallel shards, curriculum, per-epoch resampling), the
 // TDSE training plan provably shrinks in both thunk count and arena bytes,
-// and QPINN_PLAN_OPT=off restores the verbatim capture.
+// and an optimized serving plan agrees with its verbatim capture.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -32,6 +31,8 @@
 #include "tensor/simd.hpp"
 #include "util/error.hpp"
 #include "util/invariant.hpp"
+
+#include "test_guards.hpp"
 
 namespace qpinn::core {
 namespace {
@@ -87,21 +88,6 @@ void expect_bit_identical(const std::vector<double>& eager,
   }
 }
 
-/// Pins fp64 replay for the duration of a bit-identity test: under
-/// QPINN_PRECISION=mixed (the CI gcc-mixed leg) trainer and serve plans
-/// demote to fp32 and are tolerance-gated instead (precision_test.cpp),
-/// so replay==eager only holds with the demotion pass pinned off.
-class Fp64Guard {
- public:
-  Fp64Guard() : saved_(ad::precision_mode()) {
-    ad::set_precision_mode(ad::Precision::kFp64);
-  }
-  ~Fp64Guard() { ad::set_precision_mode(saved_); }
-
- private:
-  ad::Precision saved_;
-};
-
 /// Number of thunks in `p` running unary kernel `f` on an input with
 /// `cols` columns.
 std::size_t count_unary(const plan::ExecutionPlan& p, plan::UnaryKernel f,
@@ -124,56 +110,6 @@ void expect_same_bits(const Tensor& want, const Tensor& got) {
               std::bit_cast<std::uint64_t>(got[i]))
         << "element " << i;
   }
-}
-
-/// Restores the active SIMD variant on scope exit.
-class IsaGuard {
- public:
-  IsaGuard() : saved_(simd::active_isa()) {}
-  ~IsaGuard() { simd::force_isa(saved_); }
-
- private:
-  simd::Isa saved_;
-};
-
-/// Restores (or clears) QPINN_PLAN_OPT on scope exit.
-class PlanOptEnvGuard {
- public:
-  PlanOptEnvGuard() {
-    if (const char* value = std::getenv("QPINN_PLAN_OPT")) {
-      saved_ = value;
-      had_value_ = true;
-    }
-  }
-  ~PlanOptEnvGuard() {
-    if (had_value_) {
-      ::setenv("QPINN_PLAN_OPT", saved_.c_str(), 1);
-    } else {
-      ::unsetenv("QPINN_PLAN_OPT");
-    }
-  }
-
- private:
-  std::string saved_;
-  bool had_value_ = false;
-};
-
-// --- configuration ----------------------------------------------------------
-
-TEST(PlanPassesEnv, PlanOptEnvParsing) {
-  PlanOptEnvGuard guard;
-  ::unsetenv("QPINN_PLAN_OPT");
-  EXPECT_TRUE(plan::plan_opt_env_enabled());  // passes are on by default
-  ::setenv("QPINN_PLAN_OPT", "on", 1);
-  EXPECT_TRUE(plan::plan_opt_env_enabled());
-  ::setenv("QPINN_PLAN_OPT", "1", 1);
-  EXPECT_TRUE(plan::plan_opt_env_enabled());
-  ::setenv("QPINN_PLAN_OPT", "off", 1);
-  EXPECT_FALSE(plan::plan_opt_env_enabled());
-  ::setenv("QPINN_PLAN_OPT", "0", 1);
-  EXPECT_FALSE(plan::plan_opt_env_enabled());
-  ::setenv("QPINN_PLAN_OPT", "sideways", 1);
-  EXPECT_THROW(plan::plan_opt_env_enabled(), ConfigError);
 }
 
 // --- unit: dead-thunk elimination -------------------------------------------
@@ -644,9 +580,7 @@ TEST(PlanPassesUnit, VerifierRejectsWriteAfterEarlyRead) {
 // --- trainer: bit-identity with passes on -----------------------------------
 
 TEST(PlanPassesTrainer, TdsePlanShrinksAndStaysBitIdenticalEveryIsa) {
-  Fp64Guard precision_guard;
-  PlanOptEnvGuard env;
-  ::setenv("QPINN_PLAN_OPT", "on", 1);
+  PrecisionGuard precision_guard;
   IsaGuard guard;
   auto problem = make_free_packet_problem();
   const TrainConfig base = passes_config(1);
@@ -718,9 +652,7 @@ TEST(PlanPassesTrainer, TdsePlanShrinksAndStaysBitIdenticalEveryIsa) {
 }
 
 TEST(PlanPassesTrainer, ParallelShardsWithCurriculumBitIdentical) {
-  Fp64Guard precision_guard;
-  PlanOptEnvGuard env;
-  ::setenv("QPINN_PLAN_OPT", "on", 1);
+  PrecisionGuard precision_guard;
   set_global_threads(4);
   auto problem = make_free_packet_problem();
   TrainConfig base = passes_config(1);
@@ -741,9 +673,7 @@ TEST(PlanPassesTrainer, ParallelShardsWithCurriculumBitIdentical) {
 }
 
 TEST(PlanPassesTrainer, ResampleEveryEpochSurvivesPasses) {
-  Fp64Guard precision_guard;
-  PlanOptEnvGuard env;
-  ::setenv("QPINN_PLAN_OPT", "on", 1);
+  PrecisionGuard precision_guard;
   auto problem = make_free_packet_problem();
   TrainConfig base = passes_config(1);
   base.resample_every = 1;
@@ -762,8 +692,6 @@ TEST(PlanPassesTrainer, ResampleEveryEpochSurvivesPasses) {
 // re-capture is optimized again — the passes don't interfere with the
 // fallback path.
 TEST(PlanPassesTrainer, InvalidationRecaptureReoptimizes) {
-  PlanOptEnvGuard env;
-  ::setenv("QPINN_PLAN_OPT", "on", 1);
   auto problem = make_free_packet_problem();
   TrainConfig config = passes_config(1);
   config.graph = GraphMode::kOn;
@@ -786,61 +714,42 @@ TEST(PlanPassesTrainer, InvalidationRecaptureReoptimizes) {
   EXPECT_EQ(stats.plans_optimized, 2u);
 }
 
-// --- escape hatch -----------------------------------------------------------
-
-// QPINN_PLAN_OPT=off must replay the verbatim capture (no optimizer run at
-// all) and still agree bit-for-bit with the optimized mode — the passes are
-// purely a performance knob, exactly like QPINN_GRAPH.
-TEST(PlanPassesTrainer, OffRestoresVerbatimPlanBitIdentical) {
-  Fp64Guard precision_guard;
-  PlanOptEnvGuard env;
-  auto problem = make_free_packet_problem();
-  const TrainConfig base = passes_config(1);
-
-  ::setenv("QPINN_PLAN_OPT", "off", 1);
-  plan::reset_plan_stats();
-  const auto verbatim = run_steps(problem, base, GraphMode::kOn, 40, 23);
-  const plan::PlanStats off_stats = plan::plan_stats();
-  EXPECT_EQ(off_stats.plans_optimized, 0u);
-  EXPECT_EQ(off_stats.thunks_eliminated, 0u);
-  EXPECT_EQ(off_stats.arena_bytes_saved, 0u);
-
-  ::setenv("QPINN_PLAN_OPT", "on", 1);
-  plan::reset_plan_stats();
-  const auto optimized = run_steps(problem, base, GraphMode::kOn, 40, 23);
-  EXPECT_EQ(plan::plan_stats().plans_optimized, 1u);
-
-  expect_bit_identical(verbatim, optimized);
-}
-
 // --- serving plans ----------------------------------------------------------
 
 // Forward-only plans go through the same pipeline: the optimized
-// CompiledModel must evaluate bit-identically to the verbatim one, and its
-// arena must be no larger.
+// CompiledModel must evaluate bit-identically to the verbatim capture of
+// the same forward pass, and its arena must be no larger.
 TEST(PlanPassesServe, CompiledModelOptimizedBitIdenticalToVerbatim) {
-  Fp64Guard precision_guard;
-  PlanOptEnvGuard env;
+  PrecisionGuard precision_guard;
   auto problem = make_free_packet_problem();
   auto model = tiny_model(*problem, 31);
   constexpr std::int64_t kRows = 16;
 
-  ::setenv("QPINN_PLAN_OPT", "off", 1);
-  const auto verbatim = serve::CompiledModel::compile(model, kRows);
-  ::setenv("QPINN_PLAN_OPT", "on", 1);
-  const auto optimized = serve::CompiledModel::compile(model, kRows);
+  // The verbatim reference: captured exactly as a CompiledModel lane
+  // captures its forward pass, with no pass run over it.
+  plan::ExecutionPlan verbatim;
+  Tensor input = Tensor::zeros({kRows, 2});
+  Tensor output;
+  {
+    ad::NoGradGuard no_grad;
+    plan::CaptureScope scope(verbatim, plan::CaptureKind::kForwardOnly);
+    output = model->forward(ad::Variable::constant(input)).value();
+  }
+  const auto optimized =
+      serve::CompiledModel::compile(model, kRows, {}, /*lanes=*/1);
 
-  EXPECT_LE(optimized->plan_size(), verbatim->plan_size());
-  EXPECT_LE(optimized->arena_bytes(), verbatim->arena_bytes());
-  EXPECT_EQ(verbatim->pass_stats().thunks_before, 0u);  // passes never ran
-  EXPECT_EQ(optimized->pass_stats().thunks_before, verbatim->plan_size());
+  EXPECT_LE(optimized->plan_size(), verbatim.size());
+  EXPECT_LE(optimized->arena_bytes(), verbatim.arena_bytes());
+  EXPECT_EQ(verbatim.pass_stats().thunks_before, 0u);  // passes never ran
+  EXPECT_EQ(optimized->pass_stats().thunks_before, verbatim.size());
 
   Rng rng(7);
   const Tensor xy = Tensor::rand({kRows, 2}, rng, -1.0, 1.0);
-  const Tensor a = verbatim->evaluate(xy);
+  kernels::copy_into(input, xy);
+  verbatim.replay();
   const Tensor b = optimized->evaluate(xy);
-  for (std::int64_t i = 0; i < a.numel(); ++i) {
-    EXPECT_EQ(a[i], b[i]) << "element " << i;
+  for (std::int64_t i = 0; i < output.numel(); ++i) {
+    EXPECT_EQ(output[i], b[i]) << "element " << i;
   }
 }
 

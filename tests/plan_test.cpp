@@ -2,14 +2,13 @@
 //
 // The contract under test: replay executes the identical kernels against the
 // identical buffers in the identical order as the eager step it captured, so
-// QPINN_GRAPH is purely a performance switch — losses, gradients, and
+// GraphMode is purely a performance switch — losses, gradients, and
 // checkpoints agree bit-for-bit across modes, under every SIMD variant, and
 // the steady-state replay does zero storage-pool work. Anything that breaks
 // the premise (batch shape, thread count) must invalidate the plan.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
@@ -27,6 +26,8 @@
 #include "tensor/simd.hpp"
 #include "tensor/storage_pool.hpp"
 #include "util/error.hpp"
+
+#include "test_guards.hpp"
 
 namespace qpinn::core {
 namespace {
@@ -85,58 +86,10 @@ void expect_bit_identical(const std::vector<double>& eager,
   }
 }
 
-/// Pins fp64 plan replay for the duration of a bit-identity test: these
-/// tests assert the fp64-mode contract (replay == eager bit-for-bit), which
-/// QPINN_PRECISION=mixed intentionally trades for speed. Restores the
-/// previously active mode on scope exit so a mixed CI leg still exercises
-/// mixed replay in the rest of the suite.
-class Fp64Guard {
- public:
-  Fp64Guard() : saved_(ad::precision_mode()) {
-    ad::set_precision_mode(ad::Precision::kFp64);
-  }
-  ~Fp64Guard() { ad::set_precision_mode(saved_); }
-
- private:
-  ad::Precision saved_;
-};
-
-/// Restores the active SIMD variant on scope exit.
-class IsaGuard {
- public:
-  IsaGuard() : saved_(simd::active_isa()) {}
-  ~IsaGuard() { simd::force_isa(saved_); }
-
- private:
-  simd::Isa saved_;
-};
-
-/// Restores (or clears) QPINN_GRAPH on scope exit.
-class GraphEnvGuard {
- public:
-  GraphEnvGuard() {
-    if (const char* value = std::getenv("QPINN_GRAPH")) {
-      saved_ = value;
-      had_value_ = true;
-    }
-  }
-  ~GraphEnvGuard() {
-    if (had_value_) {
-      ::setenv("QPINN_GRAPH", saved_.c_str(), 1);
-    } else {
-      ::unsetenv("QPINN_GRAPH");
-    }
-  }
-
- private:
-  std::string saved_;
-  bool had_value_ = false;
-};
-
 // --- bit-identity: replay vs eager -----------------------------------------
 
 TEST(PlanTrainer, ReplayBitIdenticalOnTdseEveryIsa) {
-  Fp64Guard precision_guard;
+  PrecisionGuard precision_guard;
   IsaGuard guard;
   auto problem = make_free_packet_problem();
   const TrainConfig base = plan_config(1);
@@ -157,7 +110,7 @@ TEST(PlanTrainer, ReplayBitIdenticalOnTdseEveryIsa) {
 }
 
 TEST(PlanTrainer, ReplayBitIdenticalOnNlsEveryIsa) {
-  Fp64Guard precision_guard;
+  PrecisionGuard precision_guard;
   IsaGuard guard;
   auto problem = make_nls_soliton_problem();
   const TrainConfig base = plan_config(1);
@@ -258,7 +211,7 @@ TEST(PlanCore, MlpTrainingLoopBitIdenticalEveryIsa) {
 }
 
 TEST(PlanTrainer, ParallelShardsWithCurriculumBitIdentical) {
-  Fp64Guard precision_guard;
+  PrecisionGuard precision_guard;
   set_global_threads(4);
   auto problem = make_free_packet_problem();
   TrainConfig base = plan_config(1);
@@ -283,7 +236,7 @@ TEST(PlanTrainer, ParallelShardsWithCurriculumBitIdentical) {
 // captured plan survives it: one capture per shard, then steady-state
 // replays on fresh collocation points every epoch.
 TEST(PlanTrainer, ResampleEveryEpochKeepsPlanBitIdentical) {
-  Fp64Guard precision_guard;
+  PrecisionGuard precision_guard;
   auto problem = make_free_packet_problem();
   TrainConfig base = plan_config(1);
   base.resample_every = 1;
@@ -318,7 +271,7 @@ TEST(PlanTrainer, ResampleEveryEpochKeepsPlanBitIdentical) {
 // --- checkpoint interop ----------------------------------------------------
 
 TEST(PlanTrainer, CheckpointResumeAcrossModesBitForBit) {
-  Fp64Guard precision_guard;
+  PrecisionGuard precision_guard;
   auto problem = make_free_packet_problem();
   for (GraphMode first : {GraphMode::kOff, GraphMode::kOn}) {
     const bool first_is_eager = first == GraphMode::kOff;
@@ -491,24 +444,7 @@ TEST(PlanTrainer, SteadyStateReplayDoesZeroPoolWork) {
 
 // --- configuration ---------------------------------------------------------
 
-TEST(PlanEnv, GraphEnvParsing) {
-  GraphEnvGuard guard;
-  ::unsetenv("QPINN_GRAPH");
-  EXPECT_TRUE(plan::graph_env_enabled());  // replay is the default
-  ::setenv("QPINN_GRAPH", "on", 1);
-  EXPECT_TRUE(plan::graph_env_enabled());
-  ::setenv("QPINN_GRAPH", "1", 1);
-  EXPECT_TRUE(plan::graph_env_enabled());
-  ::setenv("QPINN_GRAPH", "off", 1);
-  EXPECT_FALSE(plan::graph_env_enabled());
-  ::setenv("QPINN_GRAPH", "0", 1);
-  EXPECT_FALSE(plan::graph_env_enabled());
-  ::setenv("QPINN_GRAPH", "sideways", 1);
-  EXPECT_THROW(plan::graph_env_enabled(), ConfigError);
-}
-
-TEST(PlanEnv, GraphModeOverridesEnvironment) {
-  GraphEnvGuard guard;
+TEST(PlanEnv, GraphModeSelectsCapture) {
   auto problem = make_free_packet_problem();
   auto trainer_with = [&](GraphMode mode) {
     TrainConfig config = plan_config(1);
@@ -516,12 +452,15 @@ TEST(PlanEnv, GraphModeOverridesEnvironment) {
     auto model = tiny_model(*problem, 2);
     return std::make_unique<Trainer>(problem, model, config);
   };
-  ::setenv("QPINN_GRAPH", "off", 1);
-  EXPECT_FALSE(trainer_with(GraphMode::kEnv)->graph_enabled());
   EXPECT_TRUE(trainer_with(GraphMode::kOn)->graph_enabled());
-  ::unsetenv("QPINN_GRAPH");
-  EXPECT_TRUE(trainer_with(GraphMode::kEnv)->graph_enabled());
   EXPECT_FALSE(trainer_with(GraphMode::kOff)->graph_enabled());
+
+  // A default TrainConfig captures on its first step.
+  Trainer trainer(problem, tiny_model(*problem, 2), plan_config(1));
+  EXPECT_TRUE(trainer.graph_enabled());
+  plan::reset_plan_stats();
+  trainer.step(0);
+  EXPECT_EQ(plan::plan_stats().plans_captured, 1u);
 }
 
 TEST(PlanEnv, EagerModeCapturesNothing) {

@@ -46,6 +46,8 @@
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
+#include "test_guards.hpp"
+
 namespace qpinn::core {
 namespace {
 
@@ -53,19 +55,6 @@ namespace ad = qpinn::autodiff;
 namespace plan = qpinn::autodiff::plan;
 namespace f32 = qpinn::kernels_f32;
 namespace simd = qpinn::simd;
-
-/// Pins the process-wide precision mode for one test and restores the
-/// previous mode on exit (assertion failures included).
-class PrecisionGuard {
- public:
-  explicit PrecisionGuard(ad::Precision pin) : saved_(ad::precision_mode()) {
-    ad::set_precision_mode(pin);
-  }
-  ~PrecisionGuard() { ad::set_precision_mode(saved_); }
-
- private:
-  ad::Precision saved_;
-};
 
 TrainConfig tiny_config(std::int64_t epochs) {
   TrainConfig config = default_train_config(epochs, /*seed=*/7);

@@ -13,6 +13,8 @@
 #include "util/error.hpp"
 #include "util/fault.hpp"
 
+#include "test_guards.hpp"
+
 namespace qpinn::core {
 namespace {
 
@@ -61,44 +63,52 @@ void expect_params_equal(const FieldModel& a_model, const FieldModel& b_model) {
 }
 
 TEST_F(RecoveryTest, InjectedNanRollsBackAndCompletes) {
-  auto problem = make_free_packet_problem();
-  auto model = tiny_model(*problem, 3);
-  TrainConfig config = tiny_config(16);
-  RecoveryConfig recovery;
-  recovery.max_recoveries = 3;
-  recovery.lr_backoff = 0.5;
-  recovery.snapshot_every = 4;  // snapshots after epochs 3, 7, 11, ...
-  config.recovery = recovery;
+  // The rollback runs on the eager tape and on the captured plan alike;
+  // each mode compares only with itself.
+  for (const GraphMode graph : {GraphMode::kOff, GraphMode::kOn}) {
+    SCOPED_TRACE(graph == GraphMode::kOn ? "graph on" : "graph off");
+    FaultInjector::instance().clear();  // restart the hit count
+    auto problem = make_free_packet_problem();
+    auto model = tiny_model(*problem, 3);
+    TrainConfig config = tiny_config(16);
+    config.graph = graph;
+    RecoveryConfig recovery;
+    recovery.max_recoveries = 3;
+    recovery.lr_backoff = 0.5;
+    recovery.snapshot_every = 4;  // snapshots after epochs 3, 7, 11, ...
+    config.recovery = recovery;
 
-  FaultInjector::instance().arm(kFaultTrainerNanLoss, /*at=*/10);
-  Trainer trainer(problem, model, config);
-  const TrainResult result = trainer.fit();
+    FaultInjector::instance().arm(kFaultTrainerNanLoss, /*at=*/10);
+    Trainer trainer(problem, model, config);
+    const TrainResult result = trainer.fit();
 
-  EXPECT_EQ(result.recoveries, 1);
-  ASSERT_EQ(result.recovery_events.size(), 1u);
-  const RecoveryEvent& event = result.recovery_events[0];
-  EXPECT_EQ(event.detected_epoch, 10);
-  EXPECT_EQ(event.rollback_epoch, 7);
-  EXPECT_DOUBLE_EQ(event.lr_scale, 0.5);
-  EXPECT_NE(event.reason.find("non-finite"), std::string::npos);
+    EXPECT_EQ(result.recoveries, 1);
+    ASSERT_EQ(result.recovery_events.size(), 1u);
+    const RecoveryEvent& event = result.recovery_events[0];
+    EXPECT_EQ(event.detected_epoch, 10);
+    EXPECT_EQ(event.rollback_epoch, 7);
+    EXPECT_DOUBLE_EQ(event.lr_scale, 0.5);
+    EXPECT_NE(event.reason.find("non-finite"), std::string::npos);
 
-  // The run still completed every epoch with a finite loss.
-  EXPECT_FALSE(result.diverged);
-  EXPECT_EQ(result.epochs_run, 16);
-  ASSERT_EQ(result.history.size(), 16u);
-  for (std::size_t e = 0; e < result.history.size(); ++e) {
-    EXPECT_EQ(result.history[e].epoch, static_cast<std::int64_t>(e));
-    EXPECT_TRUE(std::isfinite(result.history[e].total_loss));
+    // The run still completed every epoch with a finite loss.
+    EXPECT_FALSE(result.diverged);
+    EXPECT_EQ(result.epochs_run, 16);
+    ASSERT_EQ(result.history.size(), 16u);
+    for (std::size_t e = 0; e < result.history.size(); ++e) {
+      EXPECT_EQ(result.history[e].epoch, static_cast<std::int64_t>(e));
+      EXPECT_TRUE(std::isfinite(result.history[e].total_loss));
+    }
+
+    // The LR backoff stays applied: epochs after the recovery run at half
+    // the schedule of an identical clean run.
+    auto clean_model = tiny_model(*problem, 3);
+    TrainConfig clean_config = tiny_config(16);
+    clean_config.graph = graph;
+    Trainer clean(problem, clean_model, clean_config);
+    const TrainResult clean_result = clean.fit();
+    EXPECT_DOUBLE_EQ(result.history.back().lr,
+                     0.5 * clean_result.history.back().lr);
   }
-
-  // The LR backoff stays applied: epochs after the recovery run at half
-  // the schedule of an identical clean run.
-  auto clean_model = tiny_model(*problem, 3);
-  TrainConfig clean_config = tiny_config(16);
-  Trainer clean(problem, clean_model, clean_config);
-  const TrainResult clean_result = clean.fit();
-  EXPECT_DOUBLE_EQ(result.history.back().lr,
-                   0.5 * clean_result.history.back().lr);
 }
 
 TEST_F(RecoveryTest, InjectedExplosionTriggersWindowDetector) {
@@ -161,57 +171,63 @@ TEST_F(RecoveryTest, WithoutRecoveryInjectedNanStillThrows) {
 
 TEST_F(RecoveryTest, ResumeReproducesUninterruptedRunBitForBit) {
   // This test asserts the fp64-mode contract (resume == uninterrupted
-  // bit-for-bit); pin fp64 so a QPINN_PRECISION=mixed CI leg still passes.
-  const autodiff::Precision saved_precision = autodiff::precision_mode();
-  autodiff::set_precision_mode(autodiff::Precision::kFp64);
-  struct Restore {
-    autodiff::Precision p;
-    ~Restore() { autodiff::set_precision_mode(p); }
-  } restore{saved_precision};
+  // bit-for-bit); pin fp64 so a QPINN_PRECISION=mixed run still passes.
+  PrecisionGuard precision_guard;
+  // Resume holds on the eager tape and on the captured plan alike; each
+  // mode compares only with itself.
+  for (const GraphMode graph : {GraphMode::kOff, GraphMode::kOn}) {
+    const std::string mode = graph == GraphMode::kOn ? "on" : "off";
+    SCOPED_TRACE("graph " + mode);
+    auto config_for = [graph](std::int64_t epochs) {
+      TrainConfig config = tiny_config(epochs);
+      config.graph = graph;
+      return config;
+    };
+    auto problem = make_free_packet_problem();
+    const std::string dir = temp_dir("resume_ckpt_" + mode);
 
-  auto problem = make_free_packet_problem();
-  const std::string dir = temp_dir("resume_ckpt");
+    // Uninterrupted reference: 24 epochs straight through.
+    auto model_full = tiny_model(*problem, 9);
+    Trainer full(problem, model_full, config_for(24));
+    const TrainResult full_result = full.fit();
 
-  // Uninterrupted reference: 24 epochs straight through.
-  auto model_full = tiny_model(*problem, 9);
-  Trainer full(problem, model_full, tiny_config(24));
-  const TrainResult full_result = full.fit();
+    // "Killed" run: same seed and schedule, stops after 16 epochs, final
+    // checkpoint only. (Config must match the full run except for
+    // `epochs`, since tiny_config derives the LR schedule from the epoch
+    // count.)
+    auto model_killed = tiny_model(*problem, 9);
+    TrainConfig killed_config = config_for(24);
+    killed_config.epochs = 16;
+    CheckpointConfig ckpt;
+    ckpt.dir = dir;
+    killed_config.checkpoint = ckpt;
+    Trainer killed(problem, model_killed, killed_config);
+    killed.fit();
+    const std::string last = dir + "/last.qckpt";
+    ASSERT_TRUE(std::filesystem::exists(last));
 
-  // "Killed" run: same seed and schedule, stops after 16 epochs, final
-  // checkpoint only. (Config must match the full run except for `epochs`,
-  // since tiny_config derives the LR schedule from the epoch count.)
-  auto model_killed = tiny_model(*problem, 9);
-  TrainConfig killed_config = tiny_config(24);
-  killed_config.epochs = 16;
-  CheckpointConfig ckpt;
-  ckpt.dir = dir;
-  killed_config.checkpoint = ckpt;
-  Trainer killed(problem, model_killed, killed_config);
-  killed.fit();
-  const std::string last = dir + "/last.qckpt";
-  ASSERT_TRUE(std::filesystem::exists(last));
+    // Resumed run: a fresh process reconstructs the model with the same
+    // config/seed (non-trainable state such as the Fourier projection is
+    // reproduced by construction, not checkpointed), then the checkpoint
+    // overwrites every trainable parameter and continues to 24.
+    auto model_resumed = tiny_model(*problem, 9);
+    TrainConfig resumed_config = config_for(24);
+    resumed_config.resume_from = last;
+    Trainer resumed(problem, model_resumed, resumed_config);
+    const TrainResult resumed_result = resumed.fit();
 
-  // Resumed run: a fresh process reconstructs the model with the same
-  // config/seed (non-trainable state such as the Fourier projection is
-  // reproduced by construction, not checkpointed), then the checkpoint
-  // overwrites every trainable parameter and continues to 24.
-  auto model_resumed = tiny_model(*problem, 9);
-  TrainConfig resumed_config = tiny_config(24);
-  resumed_config.resume_from = last;
-  Trainer resumed(problem, model_resumed, resumed_config);
-  const TrainResult resumed_result = resumed.fit();
+    EXPECT_EQ(resumed_result.start_epoch, 16);
+    EXPECT_EQ(resumed_result.epochs_run, 8);
+    ASSERT_FALSE(resumed_result.history.empty());
+    EXPECT_EQ(resumed_result.history.front().epoch, 16);
+    EXPECT_EQ(resumed_result.history.back().epoch, 23);
 
-  EXPECT_EQ(resumed_result.start_epoch, 16);
-  EXPECT_EQ(resumed_result.epochs_run, 8);
-  ASSERT_FALSE(resumed_result.history.empty());
-  EXPECT_EQ(resumed_result.history.front().epoch, 16);
-  EXPECT_EQ(resumed_result.history.back().epoch, 23);
-
-  // Identical parameters and loss — not merely close.
-  expect_params_equal(*model_full, *model_resumed);
-  EXPECT_EQ(full_result.final_loss, resumed_result.final_loss);
-  EXPECT_EQ(full_result.final_l2, resumed_result.final_l2);
-  std::filesystem::remove_all(dir);
+    // Identical parameters and loss — not merely close.
+    expect_params_equal(*model_full, *model_resumed);
+    EXPECT_EQ(full_result.final_loss, resumed_result.final_loss);
+    EXPECT_EQ(full_result.final_l2, resumed_result.final_l2);
+    std::filesystem::remove_all(dir);
+  }
 }
 
 TEST_F(RecoveryTest, ResumeFallsBackToBestWhenLastIsCorrupt) {

@@ -35,6 +35,8 @@
 #include "tensor/tensor.hpp"
 #include "util/error.hpp"
 
+#include "test_guards.hpp"
+
 namespace qpinn::serve {
 namespace {
 
@@ -99,33 +101,6 @@ void expect_rows_bitwise_equal(const Tensor& got, const Tensor& want,
     EXPECT_EQ(got.at(i, 1), want.at(i, 1)) << "v mismatch at row " << i;
   }
 }
-
-/// Pins fp64 replay for bit-identity tests: they assert the fp64-mode
-/// contract (served rows == eager rows bit-for-bit), which
-/// QPINN_PRECISION=mixed intentionally trades for fp32 replay throughput.
-/// Restores the previous mode so a mixed CI leg still exercises demoted
-/// lanes in the tolerance-based tests.
-class PrecisionGuard {
- public:
-  explicit PrecisionGuard(autodiff::Precision pin)
-      : saved_(autodiff::precision_mode()) {
-    autodiff::set_precision_mode(pin);
-  }
-  ~PrecisionGuard() { autodiff::set_precision_mode(saved_); }
-
- private:
-  autodiff::Precision saved_;
-};
-
-/// Restores the active SIMD variant on scope exit.
-class IsaGuard {
- public:
-  IsaGuard() : saved_(simd::active_isa()) {}
-  ~IsaGuard() { simd::force_isa(saved_); }
-
- private:
-  simd::Isa saved_;
-};
 
 // --- forward-only capture ---------------------------------------------------
 

@@ -21,17 +21,13 @@
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
+#include "test_guards.hpp"
+
 namespace qpinn::simd {
 namespace {
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Restores the pre-test table even when an assertion fails mid-test.
-struct IsaGuard {
-  Isa saved = active_isa();
-  ~IsaGuard() { force_isa(saved); }
-};
 
 std::vector<std::size_t> test_lengths(std::size_t width) {
   std::vector<std::size_t> lengths{1, width, width + 1, 255, 65537};

@@ -103,59 +103,65 @@ def main() -> int:
 
     # Plan-optimizer gates. Thunk counts and arena bytes are exact metrics
     # (deterministic properties of the captured tape, like the alloc
-    # counters), so these are real regressions, not noise: with the passes
-    # on, every tracked plan must shrink in both thunks and arena bytes,
-    # and the optimized sizes must not grow past the baseline's.
-    if cur_sum.get("plan_opt_enabled"):
-        for plan in ("fwd", "step", "tdse"):
-            thunks_b = cur_sum.get(f"{plan}_plan_thunks_before")
-            thunks_a = cur_sum.get(f"{plan}_plan_thunks_after")
-            arena_b = cur_sum.get(f"{plan}_plan_arena_bytes_before")
-            arena_a = cur_sum.get(f"{plan}_plan_arena_bytes_after")
-            if None in (thunks_b, thunks_a, arena_b, arena_a):
-                continue
-            print(f"bench_compare: {plan}_plan thunks {thunks_b}->{thunks_a}"
-                  f" arena_bytes {arena_b}->{arena_a}")
-            if thunks_a >= thunks_b:
-                regressions.append(
-                    f"{plan}_plan: optimizer eliminated no thunks "
-                    f"({thunks_b} -> {thunks_a})")
-            if arena_a >= arena_b:
-                regressions.append(
-                    f"{plan}_plan: optimizer saved no arena bytes "
-                    f"({arena_b} -> {arena_a})")
-            if base_sum.get("plan_opt_enabled"):
-                for field in (f"{plan}_plan_thunks_after",
-                              f"{plan}_plan_arena_bytes_after"):
-                    base_v = base_sum.get(field)
-                    cur_v = cur_sum.get(field)
-                    if base_v is not None and cur_v > base_v:
-                        regressions.append(
-                            f"{field} {base_v} -> {cur_v} "
-                            f"(exact metric; optimizer lost ground)")
+    # counters), so these are real regressions, not noise: every tracked
+    # plan must shrink in both thunks and arena bytes, and the optimized
+    # sizes must not grow past the baseline's. Every captured plan is
+    # optimized, so a missing field is a regression too: it would
+    # otherwise switch its gate off without a word.
+    def plan_field(field: str):
+        value = cur_sum.get(field)
+        if value is None:
+            regressions.append(f"{field}: missing from the current summary "
+                               f"(plan gate cannot run)")
+        return value
 
-        # CSE gate: the TDSE training plan recomputes the RFF sin/cos and
-        # the matmul-backward transposes at every differentiation order,
-        # so common-subexpression elimination must merge some thunks there.
-        # Exact metric, like the counts above.
-        dedup = cur_sum.get("tdse_plan_deduplicated")
-        if dedup is not None:
-            print(f"bench_compare: tdse_plan_deduplicated {dedup}")
-            if dedup <= 0:
+    for plan in ("fwd", "step", "tdse"):
+        thunks_b = plan_field(f"{plan}_plan_thunks_before")
+        thunks_a = plan_field(f"{plan}_plan_thunks_after")
+        arena_b = plan_field(f"{plan}_plan_arena_bytes_before")
+        arena_a = plan_field(f"{plan}_plan_arena_bytes_after")
+        if None in (thunks_b, thunks_a, arena_b, arena_a):
+            continue
+        print(f"bench_compare: {plan}_plan thunks {thunks_b}->{thunks_a}"
+              f" arena_bytes {arena_b}->{arena_a}")
+        if thunks_a >= thunks_b:
+            regressions.append(
+                f"{plan}_plan: optimizer eliminated no thunks "
+                f"({thunks_b} -> {thunks_a})")
+        if arena_a >= arena_b:
+            regressions.append(
+                f"{plan}_plan: optimizer saved no arena bytes "
+                f"({arena_b} -> {arena_a})")
+        for field in (f"{plan}_plan_thunks_after",
+                      f"{plan}_plan_arena_bytes_after"):
+            base_v = base_sum.get(field)
+            cur_v = cur_sum.get(field)
+            if base_v is not None and cur_v > base_v:
                 regressions.append(
-                    "tdse_plan: common-subexpression elimination merged no "
-                    "thunks")
+                    f"{field} {base_v} -> {cur_v} "
+                    f"(exact metric; optimizer lost ground)")
 
-        # Fold gate: every matmul backward in the TDSE plan multiplies by a
-        # transposed activation, so the transpose->matmul fold must rewrite
-        # some of them onto matmul_tn. Exact metric, like the counts above.
-        folded = cur_sum.get("tdse_plan_folded")
-        if folded is not None:
-            print(f"bench_compare: tdse_plan_folded {folded}")
-            if folded <= 0:
-                regressions.append(
-                    "tdse_plan: the transpose->matmul fold rewrote no "
-                    "matmuls")
+    # CSE gate: the TDSE training plan recomputes the RFF sin/cos and the
+    # matmul-backward transposes at every differentiation order, so
+    # common-subexpression elimination must merge some thunks there. Exact
+    # metric, like the counts above.
+    dedup = plan_field("tdse_plan_deduplicated")
+    if dedup is not None:
+        print(f"bench_compare: tdse_plan_deduplicated {dedup}")
+        if dedup <= 0:
+            regressions.append(
+                "tdse_plan: common-subexpression elimination merged no "
+                "thunks")
+
+    # Fold gate: every matmul backward in the TDSE plan multiplies by a
+    # transposed activation, so the transpose->matmul fold must rewrite
+    # some of them onto matmul_tn. Exact metric, like the counts above.
+    folded = plan_field("tdse_plan_folded")
+    if folded is not None:
+        print(f"bench_compare: tdse_plan_folded {folded}")
+        if folded <= 0:
+            regressions.append(
+                "tdse_plan: the transpose->matmul fold rewrote no matmuls")
 
     # Mixed-precision gate: the demoted training-step replay must beat the
     # fp64 replay by >= 1.3x. Both sides are timed back-to-back in the same
