@@ -210,8 +210,8 @@ class Trainer {
   bool graph_enabled() const { return config_.graph == GraphMode::kOn; }
 
   /// Optimizer-pass statistics for each captured shard plan (observability:
-  /// bench_report surfaces the thunk/arena reduction per training plan).
-  /// Empty until the first captured step.
+  /// the thunk/arena reduction per training plan; plan_passes_test pins
+  /// them). Empty until the first captured step.
   std::vector<autodiff::plan::PassStats> plan_pass_stats() const;
 
   /// Replaces the interior collocation set (e.g. to change the batch size

@@ -17,9 +17,10 @@
 //
 // Escape hatch: set QPINN_NO_POOL=1 to fall back to plain heap allocation
 // (every acquire is a fresh vector, every release frees); useful for
-// bisecting pool bugs and for measuring the allocation win (see
-// bench/bench_report.cpp). QPINN_POOL_MAX_MB caps the bytes parked in free
-// lists (default 512); beyond the cap released buffers are freed outright.
+// bisecting pool bugs and for measuring the allocation win (with the pool
+// on, pool_test pins a steady-state training step at 0 heap allocations).
+// QPINN_POOL_MAX_MB caps the bytes parked in free lists (default 512);
+// beyond the cap released buffers are freed outright.
 #pragma once
 
 #include <cstdint>

@@ -4,6 +4,7 @@
 // level which tests and benchmarks may lower to keep output quiet.
 #pragma once
 
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -23,22 +24,30 @@ Level parse_level(const std::string& name);
 namespace detail {
 void emit(Level level, const std::string& message);
 
+/// One log line. The level is checked once, at construction: a filtered
+/// line builds no stream and formats none of its `<<` operands.
 class LineLogger {
  public:
-  explicit LineLogger(Level level) : level_(level) {}
+  explicit LineLogger(Level level) : level_(level) {
+    if (static_cast<int>(level) >= static_cast<int>(log::level())) {
+      stream_.emplace();
+    }
+  }
   LineLogger(const LineLogger&) = delete;
   LineLogger& operator=(const LineLogger&) = delete;
-  ~LineLogger() { emit(level_, stream_.str()); }
+  ~LineLogger() {
+    if (stream_) emit(level_, stream_->str());
+  }
 
   template <typename T>
   LineLogger& operator<<(const T& value) {
-    stream_ << value;
+    if (stream_) *stream_ << value;
     return *this;
   }
 
  private:
   Level level_;
-  std::ostringstream stream_;
+  std::optional<std::ostringstream> stream_;
 };
 }  // namespace detail
 

@@ -577,6 +577,95 @@ TEST(PlanPassesUnit, VerifierRejectsWriteAfterEarlyRead) {
   }
 }
 
+// --- pinned plan sizes ------------------------------------------------------
+
+// Exact before/after sizes of reference plans under the full pass pipeline.
+// The counts are deterministic, so a change to capture or to a pass that
+// moves one must update the constant here, in the same diff.
+
+// A 2 -> 64 -> 64 -> 1 tanh MLP with a mean-square head on 256 rows: the
+// forward plan and the loss + gradient step plan.
+TEST(PlanPassesPinned, MlpForwardAndStepPlans) {
+  PrecisionGuard precision_guard;
+  Rng rng(7);
+  const std::vector<ad::Variable> params{
+      ad::Variable::leaf(Tensor::randn({2, 64}, rng, 0.0, 0.3)),
+      ad::Variable::leaf(Tensor::zeros({1, 64})),
+      ad::Variable::leaf(Tensor::randn({64, 64}, rng, 0.0, 0.3)),
+      ad::Variable::leaf(Tensor::zeros({1, 64})),
+      ad::Variable::leaf(Tensor::randn({64, 1}, rng, 0.0, 0.3)),
+      ad::Variable::leaf(Tensor::zeros({1, 1}))};
+  const ad::Variable x =
+      ad::Variable::constant(Tensor::rand({256, 2}, rng, -1.0, 1.0));
+  const auto loss = [&] {
+    ad::Variable h = ad::tanh(ad::add(ad::matmul(x, params[0]), params[1]));
+    h = ad::tanh(ad::add(ad::matmul(h, params[2]), params[3]));
+    return ad::mean_all(
+        ad::square(ad::add(ad::matmul(h, params[4]), params[5])));
+  };
+
+  plan::ExecutionPlan fwd;
+  Tensor fwd_loss;
+  {
+    plan::CaptureScope scope(fwd);
+    fwd_loss = loss().value();
+  }
+  const plan::PassStats f = plan::optimize_plan(fwd, {fwd_loss});
+  EXPECT_EQ(f.thunks_before, 11u);
+  EXPECT_EQ(f.thunks_after, 9u);
+  EXPECT_EQ(f.arena_bytes_before, 792592u);
+  EXPECT_EQ(f.arena_bytes_after, 266256u);
+  EXPECT_EQ(f.deduplicated, 0u);
+  EXPECT_EQ(f.folded, 0u);
+
+  plan::ExecutionPlan step;
+  std::vector<Tensor> grads;
+  {
+    plan::CaptureScope scope(step);
+    for (const ad::Variable& g : ad::grad(loss(), params)) {
+      grads.push_back(g.value());
+    }
+  }
+  const plan::PassStats s = plan::optimize_plan(step, grads);
+  EXPECT_EQ(s.thunks_before, 36u);
+  EXPECT_EQ(s.thunks_after, 22u);
+  EXPECT_EQ(s.arena_bytes_before, 2444320u);
+  EXPECT_EQ(s.arena_bytes_after, 599056u);
+  EXPECT_EQ(s.deduplicated, 0u);
+  EXPECT_EQ(s.folded, 3u);
+}
+
+// The one-shard TDSE training plan of a 16x16 tanh backbone with 8 RFF
+// features and a hard initial condition, on a 12 x 12 interior.
+TEST(PlanPassesPinned, TdseTrainingPlan) {
+  PrecisionGuard precision_guard;
+  auto problem = make_free_packet_problem();
+  TrainConfig config = default_train_config(/*epochs=*/1, /*seed=*/7);
+  config.resample_every = 0;
+  config.sampling.n_interior_x = 12;
+  config.sampling.n_interior_t = 12;
+  config.sampling.n_initial = 24;
+  config.sampling.n_boundary = 12;
+  config.graph = GraphMode::kOn;
+  ASSERT_EQ(config.threads, 1u);
+  FieldModelConfig model_config = default_model_config(*problem, 7);
+  model_config.hidden = {16, 16};
+  model_config.fourier = nn::FourierConfig{8, 1.0};
+  model_config.hard_ic =
+      HardIc{problem->config().initial, problem->domain().t_lo};
+  Trainer trainer(problem, make_field_model(model_config), config);
+  trainer.step(0);
+
+  const auto pass = trainer.plan_pass_stats();
+  ASSERT_EQ(pass.size(), 1u);
+  EXPECT_EQ(pass[0].thunks_before, 1491u);
+  EXPECT_EQ(pass[0].thunks_after, 815u);
+  EXPECT_EQ(pass[0].arena_bytes_before, 8439880u);
+  EXPECT_EQ(pass[0].arena_bytes_after, 1988496u);
+  EXPECT_EQ(pass[0].deduplicated, 195u);
+  EXPECT_EQ(pass[0].folded, 54u);
+}
+
 // --- trainer: bit-identity with passes on -----------------------------------
 
 TEST(PlanPassesTrainer, TdsePlanShrinksAndStaysBitIdenticalEveryIsa) {

@@ -323,6 +323,44 @@ TEST(QueryQueue, AnswersMatchEagerUnderConcurrency) {
   EXPECT_EQ(stats.batches, stats.full_batches + stats.partial_batches);
 }
 
+// Once warm, a query touches the storage pool not at all: the ring is
+// preallocated, worker scratch is reused, and every flush replays inside
+// the plan arena, full batches and deadline partials alike.
+TEST(QueryQueue, SteadyStateConcurrentQueriesDoZeroPoolWork) {
+  constexpr int kClients = 8;
+  constexpr std::int64_t kPerClient = 500;
+  auto registry = registry_with(23, 8);
+  auto& pool = StoragePool::instance();
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE(workers);
+    QueryQueueConfig config;
+    config.flush_us = 50;
+    config.workers = workers;
+    QueryQueue queue(registry, config);
+    for (int i = 0; i < 256; ++i) (void)queue.query(0.005 * i - 0.64, 0.5);
+
+    pool.reset_stats();
+    std::vector<std::thread> clients;
+    clients.reserve(kClients);
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&queue, c] {
+        for (std::int64_t q = 0; q < kPerClient; ++q) {
+          const double x = -1.0 + 2.0 * static_cast<double>(q % 97) / 97.0;
+          const double t = static_cast<double>((q * (c + 1)) % 101) / 101.0;
+          (void)queue.query(x, t);
+        }
+      });
+    }
+    for (auto& client : clients) client.join();
+    const StoragePoolStats stats = pool.stats();
+    queue.shutdown();
+    EXPECT_EQ(stats.heap_allocations, 0u);
+    EXPECT_EQ(stats.pool_reuses, 0u);
+    EXPECT_EQ(queue.stats().queries,
+              static_cast<std::uint64_t>(256 + kClients * kPerClient));
+  }
+}
+
 TEST(QueryQueue, SingleQueryFlushesOnDeadline) {
   QueryQueueConfig config;
   config.flush_us = 50;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <set>
 
 #include "util/cli.hpp"
@@ -215,6 +216,28 @@ TEST(Logging, LevelRoundTrip) {
   const log::Level before = log::level();
   log::set_level(log::Level::kError);
   EXPECT_EQ(log::level(), log::Level::kError);
+  log::set_level(before);
+}
+
+/// Counts how often a log line formats it.
+struct CountedOperand {
+  int* formats;
+};
+
+std::ostream& operator<<(std::ostream& os, const CountedOperand& operand) {
+  ++*operand.formats;
+  return os << "counted";
+}
+
+TEST(Logging, FilteredLineFormatsNothing) {
+  const log::Level before = log::level();
+  int formats = 0;
+  log::set_level(log::Level::kInfo);
+  log::debug() << "dropped " << CountedOperand{&formats};
+  EXPECT_EQ(formats, 0);
+  log::set_level(log::Level::kDebug);
+  log::debug() << "kept " << CountedOperand{&formats};
+  EXPECT_EQ(formats, 1);
   log::set_level(before);
 }
 
